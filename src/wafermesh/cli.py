@@ -1,8 +1,9 @@
 """Command-line front end: scenario configs, benchmark sweeps, report emission.
 
 Reports are CSV with a versioned schema line followed by a header row, plus a
-plain-text summary table. Exit status is nonzero iff a correctness check
-failed; cost-model violations (R/M) are flags in the rows, not failures.
+plain-text summary table. Exit status is 1 when a correctness check failed
+and 2 when a config or input is rejected (one line on stderr, no traceback);
+cost-model violations (R/M) are flags in the rows, not failures.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -342,13 +344,12 @@ def _parse_grid(text: str) -> list[int]:
     grids = []
     for part in text.split(","):
         part = part.strip().lower()
-        if "x" in part:
-            w, h = part.split("x")
-            if w != h:
-                raise ConfigError(f"square grids only, got {part}")
-            grids.append(int(w))
-        else:
-            grids.append(int(part))
+        w, sep, h = part.partition("x")
+        if sep and w != h:
+            raise ConfigError(f"square grids only, got {part}")
+        if not w.isdigit() or int(w) < 1:
+            raise ConfigError(f"grid side must be a positive integer, got {part!r}")
+        grids.append(int(w))
     return grids
 
 
@@ -413,6 +414,14 @@ def main(argv: list[str] | None = None) -> int:
     pc.add_argument("report_b")
 
     args = parser.parse_args(argv)
+    try:
+        return _run_command(args)
+    except (ConfigError, CapacityError) as exc:
+        print(f"wafermesh {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args) -> int:
     if args.command == "compare":
         print(compare(Path(args.report_a), Path(args.report_b)))
         return 0
@@ -422,15 +431,13 @@ def main(argv: list[str] | None = None) -> int:
         if scenario.workload != args.command:
             scenario.workload = args.command
     else:
-        scenario = Scenario(name=args.command, workload=args.command, cfg=PlmrConfig(
-            width=max(_parse_grid(args.grid or "4")), height=max(_parse_grid(args.grid or "4"))))
+        side = max(_parse_grid(args.grid or "4"))
+        scenario = Scenario(name=args.command, workload=args.command,
+                            cfg=PlmrConfig(width=side, height=side))
     scenario = _apply_flags(scenario, args)
     needed = max(scenario.grids)
     if scenario.cfg.width < needed or scenario.cfg.height < needed:
-        scenario.cfg = PlmrConfig(width=needed, height=needed, alpha=scenario.cfg.alpha,
-                                  beta=scenario.cfg.beta, route_budget=scenario.cfg.route_budget,
-                                  mem_per_core=scenario.cfg.mem_per_core,
-                                  macs_per_cycle=scenario.cfg.macs_per_cycle)
+        scenario.cfg = dataclasses.replace(scenario.cfg, width=needed, height=needed)
     return run_scenario(scenario, Path(args.out))
 
 

@@ -14,12 +14,17 @@ fixed reduction order (ascending position within a group):
 * k-tree: K phases of grouped reductions with ceil(N^(1/K))-wide contiguous
   groups rooted at their lowest position; each group shares one routing-path
   segment per phase, so any core holds at most K+1 paths.
+
+The k-tree cost depends only on (cfg, group size, tile bytes, k, broadcast):
+``ktree_cost`` computes the report from those alone and memoizes it per
+process in a bounded cache, and ``ktree_allreduce`` adds only the sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,14 +183,14 @@ class KTreeGroup:
     root: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class KTree:
     """Grouping of N line positions into K phases of contiguous reductions."""
 
     n: int
     k: int
     group_width: int  # ceil(n ** (1/k))
-    phases: list[list[KTreeGroup]] = field(default_factory=list)
+    phases: tuple[tuple[KTreeGroup, ...], ...] = ()
 
     @property
     def effective_phases(self) -> int:
@@ -214,43 +219,45 @@ def group_width(n: int, k: int) -> int:
     return g
 
 
+@functools.lru_cache(maxsize=256)
 def build_ktree(n: int, k: int) -> KTree:
+    """Memoized: cached costs that share (n, k) share one frozen tree."""
     g = group_width(n, k)
-    tree = KTree(n=n, k=k, group_width=g)
+    phases = []
     participants = list(range(n))
     while len(participants) > 1:
-        groups = [
+        groups = tuple(
             KTreeGroup(tuple(participants[i : i + g]), participants[i])
             for i in range(0, len(participants), g)
-        ]
-        tree.phases.append(groups)
-        participants = [grp.root for grp in groups]
-        if len(tree.phases) > k:
-            raise AssertionError(f"k-tree for n={n}, k={k} needed more than {k} phases")
-    return tree
-
-
-def ktree_allreduce(cfg: PlmrConfig, tiles: list[np.ndarray], k: int = 2,
-                    broadcast: bool = False) -> tuple[list[np.ndarray], SimReport, KTree]:
-    """Grouped K-phase reduction to position 0, optionally broadcast back.
-
-    Per phase, each group's members feed one shared path segment into the
-    group root; arrivals pipeline through the root's ingress, charged one
-    software stage per two arrivals on the critical path. Without broadcast
-    only the tree root holds the full sum; other positions keep partials.
-    """
-    report = SimReport(algorithm=f"ktree_allreduce(k={k})")
-    n = len(tiles)
-    if n == 1:
-        return [tiles[0].astype(np.float32, copy=True)], report, KTree(1, k, 1)
-    tile_bytes = _check_shapes(tiles)
-    tree = build_ktree(n, k)
-    if tree.effective_phases < k:
-        report.notes.append(
-            f"k={k} degenerates to {tree.effective_phases} effective phases for n={n}"
         )
+        phases.append(groups)
+        participants = [grp.root for grp in groups]
+        if len(phases) > k:
+            raise AssertionError(f"k-tree for n={n}, k={k} needed more than {k} phases")
+    return KTree(n=n, k=k, group_width=g, phases=tuple(phases))
 
-    values = [t.astype(np.float32, copy=True) for t in tiles]
+
+@dataclass(frozen=True)
+class _KTreeCost:
+    """Immutable k-tree report contents, safe to share from the cache."""
+
+    steps: tuple[tuple[str, StepCost], ...]
+    max_paths_per_core: int
+    violations: tuple[str, ...]
+    notes: tuple[str, ...]
+    tree: KTree
+
+
+@functools.lru_cache(maxsize=1024)
+def _ktree_cost(cfg: PlmrConfig, n: int, tile_bytes: int, k: int,
+                broadcast: bool) -> _KTreeCost:
+    if n == 1:
+        return _KTreeCost((), 0, (), (), KTree(1, k, 1))
+    tree = build_ktree(n, k)
+    notes = ()
+    if tree.effective_phases < k:
+        notes = (f"k={k} degenerates to {tree.effective_phases} effective phases for n={n}",)
+    steps = []
     for phase_idx, groups in enumerate(tree.phases):
         max_span = 0
         max_size = 1
@@ -258,20 +265,55 @@ def ktree_allreduce(cfg: PlmrConfig, tiles: list[np.ndarray], k: int = 2,
         for grp in groups:
             if len(grp.members) < 2:
                 continue
-            values[grp.root] = _sum_chain([values[m] for m in grp.members])
             max_span = max(max_span, max(grp.members) - grp.root)
             max_size = max(max_size, len(grp.members))
             moved += (len(grp.members) - 1) * tile_bytes
         stages = math.ceil((max_size - 1) / 2)
-        report.add_step(f"phase{phase_idx}", StepCost.of(cfg, max_span, stages, moved))
-
+        steps.append((f"phase{phase_idx}", StepCost.of(cfg, max_span, stages, moved)))
     if broadcast:
-        for pos in range(1, n):
-            values[pos] = values[0].copy()
-        report.add_step("broadcast", StepCost.of(cfg, n, 0, (n - 1) * tile_bytes))
+        steps.append(("broadcast", StepCost.of(cfg, n, 0, (n - 1) * tile_bytes)))
 
-    paths = tree.paths_per_core()
-    report.max_paths_per_core = max(paths.values(), default=0) + (1 if broadcast else 0)
-    if report.max_paths_per_core > cfg.route_budget:
-        report.flag("R", f"{report.max_paths_per_core} paths/core > budget {cfg.route_budget}")
+    paths = max(tree.paths_per_core().values(), default=0) + (1 if broadcast else 0)
+    violations = ()
+    if paths > cfg.route_budget:
+        violations = (f"R: {paths} paths/core > budget {cfg.route_budget}",)
+    return _KTreeCost(tuple(steps), paths, violations, notes, tree)
+
+
+def ktree_cost(cfg: PlmrConfig, n: int, tile_bytes: int, k: int = 2,
+               broadcast: bool = False) -> tuple[SimReport, KTree]:
+    """Report and grouping of a k-tree allreduce over n positions, from shape alone.
+
+    Per phase, each group's members feed one shared path segment into the
+    group root; arrivals pipeline through the root's ingress, charged one
+    software stage per two arrivals on the critical path. The cost is
+    memoized; every call returns a fresh report, so callers may mutate it.
+    """
+    if n < 1:
+        raise ValueError(f"k-tree needs at least one position, got n={n}")
+    cost = _ktree_cost(cfg, n, tile_bytes, k, broadcast)
+    report = SimReport(algorithm=f"ktree_allreduce(k={k})",
+                       max_paths_per_core=cost.max_paths_per_core,
+                       violations=list(cost.violations), notes=list(cost.notes))
+    for label, comm in cost.steps:
+        report.add_step(label, comm)
+    return report, cost.tree
+
+
+def ktree_allreduce(cfg: PlmrConfig, tiles: list[np.ndarray], k: int = 2,
+                    broadcast: bool = False) -> tuple[list[np.ndarray], SimReport, KTree]:
+    """Grouped K-phase reduction to position 0, optionally broadcast back.
+
+    The report comes from ``ktree_cost``. Without broadcast only the tree
+    root holds the full sum; other positions keep partials.
+    """
+    report, tree = ktree_cost(cfg, len(tiles), _check_shapes(tiles), k, broadcast)
+    values = [t.astype(np.float32, copy=True) for t in tiles]
+    for groups in tree.phases:
+        for grp in groups:
+            if len(grp.members) >= 2:
+                values[grp.root] = _sum_chain([values[m] for m in grp.members])
+    if broadcast:
+        for pos in range(1, len(tiles)):
+            values[pos] = values[0].copy()
     return values, report, tree

@@ -71,6 +71,13 @@ class PlmrConfig:
     def cores(self) -> int:
         return self.width * self.height
 
+    def check_grid(self, op: str, w: int, h: int) -> None:
+        """Reject a w x h core grid for ``op`` that does not fit the mesh."""
+        if w > self.width or h > self.height:
+            raise ConfigError(
+                f"{op}: {w}x{h} grid larger than the {self.width}x{self.height} mesh"
+            )
+
     def check_coord(self, c: "CoreCoord") -> None:
         if not (0 <= c.x < self.width and 0 <= c.y < self.height):
             raise ConfigError(f"coordinate {c} outside {self.width}x{self.height} mesh")

@@ -15,10 +15,14 @@ tile grid) and differ in how tile movement maps onto the physical mesh:
 
 Alignment (Cannon skew) runs as repeated ring shifts and is reported under
 ``align*`` step labels, separately from the ``step*`` compute-shift loop.
+
+Ring hops and routing-path counts depend only on (cfg, n, embedding); they
+are computed once per key and memoized per process in bounded caches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,6 +167,22 @@ def _install_cannon_paths(cfg: PlmrConfig, ledger: RoutingLedger, n: int) -> Non
         ledger.install_path(RoutePath(CoreCoord(fixed, n - 1), CoreCoord(fixed, 0)))
 
 
+@functools.lru_cache(maxsize=256)
+def _ring_routing(cfg: PlmrConfig, n: int,
+                  embedding: MeshEmbedding | None) -> tuple[int, int, int]:
+    """(X hops, Y hops, max paths per core) of the interleaved row/column rings."""
+    ledger = RoutingLedger(cfg)
+    _install_ring_paths(cfg, ledger, n, embedding)
+    return _ring_hops(n, embedding, "x"), _ring_hops(n, embedding, "y"), ledger.max_count()
+
+
+@functools.lru_cache(maxsize=256)
+def _cannon_max_paths(cfg: PlmrConfig, n: int) -> int:
+    ledger = RoutingLedger(cfg)
+    _install_cannon_paths(cfg, ledger, n)
+    return ledger.max_count()
+
+
 def _tile_bytes(t4: np.ndarray) -> int:
     return t4.shape[2] * t4.shape[3] * ELEMENT_BYTES
 
@@ -197,6 +217,10 @@ def _shift_loop(cfg: PlmrConfig, problem: GemmProblem, name: str, *,
                 embedding: MeshEmbedding | None = None) -> tuple[np.ndarray, SimReport]:
     """Shared compute-shift skeleton for mesh_gemm and cannon_gemm."""
     n = problem.n
+    if embedding is None:
+        cfg.check_grid(name, n, n)
+    else:
+        cfg.check_grid(name, embedding.phys_w, embedding.phys_h)
     if n == 1:
         return _single_core(cfg, problem, name, transpose_b=False)
     if problem.a.shape[1] != problem.b.shape[0]:
@@ -212,19 +236,12 @@ def _shift_loop(cfg: PlmrConfig, problem: GemmProblem, name: str, *,
     _check_gemm_budget(cfg, report, 2 * ab + 2 * bb + cb, True, hosted)
 
     if interleaved:
-        hop_x = _ring_hops(n, embedding, "x")
-        hop_y = _ring_hops(n, embedding, "y")
+        hop_x, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, embedding)
         if n == 2:
             report.notes.append("fallback: neighbor exchange ring (n=2)")
     else:
         hop_x = hop_y = n - 1  # head-to-tail wrap is the critical transfer
-
-    ledger = RoutingLedger(cfg)
-    if interleaved:
-        _install_ring_paths(cfg, ledger, n, embedding)
-    else:
-        _install_cannon_paths(cfg, ledger, n)
-    report.max_paths_per_core = ledger.max_count()
+        report.max_paths_per_core = _cannon_max_paths(cfg, n)
 
     if skip_alignment:
         report.notes.append("alignment skipped (validation hook)")
@@ -270,6 +287,7 @@ def _broadcast_loop(cfg: PlmrConfig, problem: GemmProblem, name: str,
                     keep_panels: bool) -> tuple[np.ndarray, SimReport]:
     """Shared skeleton for summa_gemm and allgather_gemm."""
     n = problem.n
+    cfg.check_grid(name, n, n)
     if n == 1:
         return _single_core(cfg, problem, name, transpose_b=False)
     if problem.a.shape[1] != problem.b.shape[0]:
@@ -336,6 +354,7 @@ def dist_gemm_t(cfg: PlmrConfig, problem: GemmProblem) -> tuple[np.ndarray, SimR
     partial C blocks along each row into the block's home column.
     """
     n = problem.n
+    cfg.check_grid("dist_gemm_t", n, n)
     if n == 1:
         return _single_core(cfg, problem, "dist_gemm_t", transpose_b=True)
     a = np.asarray(problem.a)
@@ -352,10 +371,7 @@ def dist_gemm_t(cfg: PlmrConfig, problem: GemmProblem) -> tuple[np.ndarray, SimR
     report = SimReport(algorithm="dist_gemm_t", meta={"n": n})
     _check_gemm_budget(cfg, report, 2 * ab + 2 * bb + cb, raise_on_violation=True)
 
-    hop_y = _ring_hops(n, None, "y")
-    ledger = RoutingLedger(cfg)
-    _install_ring_paths(cfg, ledger, n, None)
-    report.max_paths_per_core = ledger.max_count()
+    _, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, None)
     if n == 2:
         report.notes.append("fallback: neighbor exchange ring (n=2)")
 

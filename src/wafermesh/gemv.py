@@ -68,7 +68,9 @@ def _finish(problem: GemvProblem, reduced: np.ndarray) -> np.ndarray:
     return reduced.reshape(-1)[: problem.b.shape[1]].copy()
 
 
-def _run(cfg: PlmrConfig, problem: GemvProblem, reduce_fn, name: str) -> tuple[np.ndarray, SimReport]:
+def _run(cfg: PlmrConfig, problem: GemvProblem, reduce_fn, op: str,
+         name: str) -> tuple[np.ndarray, SimReport]:
+    cfg.check_grid(op, problem.n, problem.n)
     report = SimReport(algorithm=name, meta={"n": problem.n})
     if problem.n == 1:
         a = np.asarray(problem.a, dtype=np.float32)
@@ -97,7 +99,7 @@ def mesh_gemv(cfg: PlmrConfig, problem: GemvProblem, k: int = 2,
         values, sub, _tree = ktree_allreduce(cfg, tiles, k=k, broadcast=broadcast)
         return values[0], sub
 
-    return _run(cfg, problem, reduce_fn, f"mesh_gemv(k={k})")
+    return _run(cfg, problem, reduce_fn, "mesh_gemv", f"mesh_gemv(k={k})")
 
 
 def gemv_pipeline_baseline(cfg: PlmrConfig, problem: GemvProblem) -> tuple[np.ndarray, SimReport]:
@@ -105,7 +107,7 @@ def gemv_pipeline_baseline(cfg: PlmrConfig, problem: GemvProblem) -> tuple[np.nd
         values, sub = pipeline_allreduce(cfg, tiles)
         return values[0], sub
 
-    return _run(cfg, problem, reduce_fn, "gemv_pipeline")
+    return _run(cfg, problem, reduce_fn, "gemv_pipeline_baseline", "gemv_pipeline")
 
 
 def gemv_ring_baseline(cfg: PlmrConfig, problem: GemvProblem) -> tuple[np.ndarray, SimReport]:
@@ -113,4 +115,4 @@ def gemv_ring_baseline(cfg: PlmrConfig, problem: GemvProblem) -> tuple[np.ndarra
         values, sub = ring_allreduce(cfg, tiles)
         return values[0], sub
 
-    return _run(cfg, problem, reduce_fn, "gemv_ring")
+    return _run(cfg, problem, reduce_fn, "gemv_ring_baseline", "gemv_ring")

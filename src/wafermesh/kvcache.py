@@ -37,7 +37,11 @@ class KvMeshState:
 
     @property
     def total_tokens(self) -> int:
-        return sum(len(cell) for cell in self.columns[0])
+        return sum(self.row_counts())
+
+    def row_counts(self) -> list[int]:
+        """Chunks per core down one column; every column holds the same ids."""
+        return [len(cell) for cell in self.columns[0]]
 
     def tokens_at(self, x: int, y: int) -> list[int]:
         return list(self.columns[x][y])
@@ -50,8 +54,8 @@ class KvMeshState:
         return grid
 
     def spread(self) -> int:
-        counts = self.counts_grid()
-        return int(counts.max() - counts.min())
+        counts = self.row_counts()
+        return max(counts) - min(counts)
 
     def token_order(self, column: int = 0) -> list[int]:
         out: list[int] = []

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reference
-from .collectives import ktree_allreduce
+# Costs come from ktree_cost alone; ktree_allreduce stays importable here because
+# perfbench's tracer wraps plan.ktree_allreduce by name.
+from .collectives import ktree_allreduce, ktree_cost
 from .fabric import (
     ELEMENT_BYTES,
     CapacityError,
@@ -270,8 +272,7 @@ def _allreduce_cost(cfg: PlmrConfig, report: SimReport, label: str, group: int,
     """Charge a k-tree allreduce over `group` positions of `elems`-wide tiles."""
     if group <= 1:
         return
-    dummy = [np.zeros(max(elems, 1), dtype=np.float32)] * group
-    _, sub, _ = ktree_allreduce(cfg, dummy, k=k, broadcast=broadcast)
+    sub, _ = ktree_cost(cfg, group, max(elems, 1) * ELEMENT_BYTES, k, broadcast)
     report.merge(sub, prefix=label + ".")
 
 
@@ -405,11 +406,12 @@ def execute_decode_layer(cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
             env[op.output] = c
         elif op.kind == "kv_append":
             _append_kv(cfg, report, kv_state, kv_store, env["k"], env["v"], token)
+            # Every cache op of this step reads the same cache: build it once.
+            ks, vs = _cache_arrays(kv_state, kv_store)
+            max_tokens = max(kv_state.row_counts())
         elif op.kind == "cache_gemv_qk":
-            ks, _ = _cache_arrays(kv_state, kv_store)
             qh = env["q"][_head_slice(shape, op.head)]
             kh = ks[:, _head_slice(shape, op.head)]
-            max_tokens = int(kv_state.counts_grid().max())
             report.add_step(op.name + ".local", StepCost.zero(),
                             -(-heads_per_col * max_tokens * slice_dims // cfg.macs_per_cycle),
                             overlap=False)
@@ -418,16 +420,13 @@ def execute_decode_layer(cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
                                 max_tokens, k=k)
             env[op.output] = (kh @ qh) / math.sqrt(shape.head_dim)
         elif op.kind == "softmax":
-            max_tokens = int(kv_state.counts_grid().max())
             _allreduce_cost(cfg, report, op.name + ".max", n, max_tokens, k=k)
             _allreduce_cost(cfg, report, op.name + ".sum", n, max_tokens, k=k)
             report.add_step(op.name + ".exp", StepCost.zero(),
                             -(-env[op.inputs[0]].size // cfg.macs_per_cycle), overlap=False)
             env[op.output] = reference.softmax(env[op.inputs[0]].astype(np.float64)).astype(np.float32)
         elif op.kind == "cache_gemv_pv":
-            _, vs = _cache_arrays(kv_state, kv_store)
             vh = vs[:, _head_slice(shape, op.head)]
-            max_tokens = int(kv_state.counts_grid().max())
             report.add_step(op.name + ".local", StepCost.zero(),
                             -(-heads_per_col * max_tokens * slice_dims // cfg.macs_per_cycle),
                             overlap=False)

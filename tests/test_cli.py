@@ -154,3 +154,42 @@ class TestMain:
                    str(tmp_path / "gemm_report.csv")])
         assert rc == 0
         assert "x1.00" in capsys.readouterr().out
+
+
+class TestMainErrors:
+    INVERTED = ("[fabric]\nwidth = 4\nheight = 4\nalpha = 5\nbeta = 2\n"
+                "enforce_latency_order = false\n\n"
+                "[scenario]\nname = inv\nworkload = gemm\nseed = 3\ngrids = 4\n"
+                "algos = mesh,summa\nsize = 16\n")
+
+    def test_inverted_latency_config_runs(self, tmp_path):
+        config = tmp_path / "inv.cfg"
+        config.write_text(self.INVERTED)
+        assert main(["gemm", "--config", str(config), "--out", str(tmp_path)]) == 0
+        rows = read_report(tmp_path / "inv_report.csv")
+        summa = next(r for r in rows if r["algorithm"] == "summa")
+        # four relayed panel broadcasts of 3 hops and 3 stages each
+        assert int(summa["comm_cycles"]) == 4 * (5 * 3 + 2 * 3)
+
+    def test_grid_larger_than_config_mesh_widens_and_keeps_latency_flag(self, tmp_path):
+        config = tmp_path / "inv.cfg"
+        config.write_text(self.INVERTED)
+        rc = main(["gemm", "--config", str(config), "--grid", "8", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_report(tmp_path / "inv_report.csv")
+        assert {r["grid"] for r in rows} == {"8x8"}
+        summa = next(r for r in rows if r["algorithm"] == "summa")
+        assert int(summa["comm_cycles"]) == 8 * (5 * 7 + 2 * 7)
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["gemm", "--grid", "4x8"], "square grids only"),
+        (["gemm", "--grid", "0"], "positive integer"),
+        (["gemm", "--grid", "four"], "positive integer"),
+        (["gemm", "--grid", "2", "--param", "size=256", "--algo", "mesh"], "exceeds budget"),
+    ])
+    def test_bad_input_is_one_line_without_traceback(self, tmp_path, capsys, argv, cause):
+        rc = main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc != 0
+        assert err.count("\n") == 1 and err.startswith("wafermesh gemm: error: ")
+        assert cause in err and "Traceback" not in err

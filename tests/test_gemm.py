@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wafermesh.fabric import CapacityError, PlmrConfig
+from wafermesh.fabric import CapacityError, ConfigError, PlmrConfig
 from wafermesh.gemm import (
     GemmProblem,
     allgather_gemm,
@@ -289,3 +289,35 @@ class TestDeterminism:
         assert np.array_equal(c1, c2)
         assert [s.comm for s in r1.steps] == [s.comm for s in r2.steps]
         assert r1.total_cycles == r2.total_cycles
+
+
+class TestGridValidation:
+    SMALL = PlmrConfig(width=2, height=2)
+
+    @pytest.mark.parametrize("algo", ALGOS + [dist_gemm_t], ids=lambda f: f.__name__)
+    def test_grid_larger_than_mesh_names_the_op(self, algo):
+        rng = np.random.default_rng(8)
+        a, b = int_matrix(rng, 8, 8), int_matrix(rng, 8, 8)
+        with pytest.raises(ConfigError, match=rf"^{algo.__name__}: 8x8 grid larger than the 2x2"):
+            algo(self.SMALL, GemmProblem(a, b, 8))
+
+    @pytest.mark.parametrize("algo", ALGOS + [dist_gemm_t], ids=lambda f: f.__name__)
+    def test_grid_equal_to_mesh_runs(self, algo):
+        rng = np.random.default_rng(8)
+        a, b = int_matrix(rng, 4, 4), int_matrix(rng, 4, 4)
+        c, _ = algo(self.SMALL, GemmProblem(a, b, 2))
+        expect = dense_gemm_oracle(a, b.T if algo is dist_gemm_t else b)
+        assert np.array_equal(c.astype(np.float64), expect)
+
+    def test_embedding_checks_physical_grid(self):
+        # A 2x3 physical grid folds a 6x6 logical grid: it fits 3x2 cores
+        # wide by tall, not the logical side.
+        rng = np.random.default_rng(9)
+        emb = embed_nonsquare(2, 3)
+        a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
+        fits = PlmrConfig(width=3, height=2, mem_per_core=1 << 20)
+        c, _ = mesh_gemm(fits, GemmProblem(a, b, emb.side), embedding=emb)
+        assert np.array_equal(c.astype(np.float64), dense_gemm_oracle(a, b))
+        narrow = PlmrConfig(width=2, height=3, mem_per_core=1 << 20)
+        with pytest.raises(ConfigError, match=r"^mesh_gemm: 3x2 grid larger than the 2x3"):
+            mesh_gemm(narrow, GemmProblem(a, b, emb.side), embedding=emb)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wafermesh.collectives import group_width
-from wafermesh.fabric import PlmrConfig
+from wafermesh.fabric import ConfigError, PlmrConfig
 from wafermesh.gemv import (
     GemvProblem,
     dense_gemv_oracle,
@@ -122,3 +122,22 @@ class TestCosts:
         wins = [n for n in (4, 9, 16, 64) if latency(n, 3) < latency(n, 2)]
         not_wins = [n for n in (4, 9, 16, 64) if latency(n, 3) >= latency(n, 2)]
         assert wins and not_wins
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("algo", [mesh_gemv, gemv_pipeline_baseline, gemv_ring_baseline],
+                             ids=lambda f: f.__name__)
+    def test_grid_larger_than_mesh_names_the_op(self, algo):
+        rng = np.random.default_rng(4)
+        a, b = int_vec(rng, 16), int_mat(rng, 16, 16)
+        small = PlmrConfig(width=2, height=2)
+        with pytest.raises(ConfigError, match=rf"^{algo.__name__}: 8x8 grid larger than the 2x2"):
+            algo(small, GemvProblem(a, b, 8))
+        c, _ = algo(small, GemvProblem(a, b, 2))
+        assert np.array_equal(c.astype(np.float64), dense_gemv_oracle(a, b))
+
+    def test_one_short_side_is_enough_to_reject(self):
+        rng = np.random.default_rng(4)
+        a, b = int_vec(rng, 16), int_mat(rng, 16, 16)
+        with pytest.raises(ConfigError, match="mesh_gemv"):
+            mesh_gemv(PlmrConfig(width=8, height=4), GemvProblem(a, b, 8))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,31 @@ class TestAutotune:
         model = make_toy_model(SHAPE, seed=0)
         with pytest.raises(ValueError):
             autotune(CFG, model, 8, 2, [])
+
+
+class TestPinnedReport:
+    # SHA-256 over every step (label, hops, stages, latency, bytes, compute,
+    # overlap), peak memory, path count, violation and note of the re-anchor
+    # scenario's prefill, transition and decode reports, as first recorded.
+    REANCHOR_SHA = "1a1c834c0472e548d4abae6a6cc68c0803c24644ad91b542e6460e20d8a8bf37"
+
+    @staticmethod
+    def _lines(report):
+        yield f"{report.algorithm}|{report.peak_mem_bytes}|{report.max_paths_per_core}"
+        for s in report.steps:
+            c = s.comm
+            yield (f"{s.label}|{c.hops_critical}|{c.routing_stages_critical}|"
+                   f"{c.latency_cycles}|{c.bytes_moved}|{s.compute_cycles}|{int(s.overlap)}")
+        yield from (f"V|{v}" for v in report.violations)
+        yield from (f"N|{n}" for n in report.notes)
+
+    def test_reanchor_scenario_full_report_is_pinned(self):
+        shape = ModelShape(embed=64, heads=8, head_dim=8, ffn=128, seq=32)
+        model = make_toy_model(shape, vocab=64, n_layers=2, seed=0)
+        prompt = [i % 64 for i in range(32)]
+        _, _, run = generate_dist(PlmrConfig(width=8, height=8), model, prompt, 32, 8, 8)
+        assert (run.total_cycles, run.prefill.total_cycles, run.transition.total_cycles) == (
+            200_403, 43_363, 1_041)
+        lines = [line for rep in [run.prefill, run.transition, *run.decode]
+                 for line in self._lines(rep)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.REANCHOR_SHA
