@@ -286,13 +286,32 @@ class TestPinnedReport:
         yield from (f"V|{v}" for v in report.violations)
         yield from (f"N|{n}" for n in report.notes)
 
-    def test_reanchor_scenario_full_report_is_pinned(self):
-        shape = ModelShape(embed=64, heads=8, head_dim=8, ffn=128, seq=32)
+    @classmethod
+    def _run(cls, embed, heads, ffn, seq, out, prefill_n, decode_n):
+        shape = ModelShape(embed=embed, heads=heads, head_dim=embed // heads, ffn=ffn, seq=seq)
         model = make_toy_model(shape, vocab=64, n_layers=2, seed=0)
-        prompt = [i % 64 for i in range(32)]
-        _, _, run = generate_dist(PlmrConfig(width=8, height=8), model, prompt, 32, 8, 8)
-        assert (run.total_cycles, run.prefill.total_cycles, run.transition.total_cycles) == (
-            200_403, 43_363, 1_041)
+        prompt = [i % 64 for i in range(seq)]
+        _, _, run = generate_dist(PlmrConfig(width=8, height=8), model, prompt, out,
+                                  prefill_n, decode_n)
         lines = [line for rep in [run.prefill, run.transition, *run.decode]
-                 for line in self._lines(rep)]
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.REANCHOR_SHA
+                 for line in cls._lines(rep)]
+        totals = (run.total_cycles, run.prefill.total_cycles, run.transition.total_cycles)
+        return totals, hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def test_reanchor_scenario_full_report_is_pinned(self):
+        totals, sha = self._run(64, 8, 128, 32, 32, 8, 8)
+        assert totals == (200_403, 43_363, 1_041)
+        assert sha == self.REANCHOR_SHA
+
+    # Decode branches the re-anchor scenario misses, pinned the same way.
+    @pytest.mark.parametrize("dims, totals, sha", [
+        # cols_per_head = 2: each head's score runs the .xsum allreduce; the
+        # grid changes between phases, so the KV cache is re-placed.
+        ((32, 4, 64, 8, 8, 4, 8), (21_148, 10_076, 289),
+         "0fbef47dcff3ead3ea6e908e3a7b8f6a75a7607989354f9722c2329496ef87e2"),
+        # heads_per_col = 3 on a 3x3 grid that does not divide E = 64.
+        ((64, 8, 128, 8, 6, 3, 3), (170_159, 74_220, 7_289),
+         "69debbd5d575cc78a522b9956b3df02b6487fc002b721dd3df6a29bb79aa67ac"),
+    ], ids=["cols_per_head_2", "heads_per_col_3"])
+    def test_decode_branch_scenario_full_report_is_pinned(self, dims, totals, sha):
+        assert self._run(*dims) == (totals, sha)
