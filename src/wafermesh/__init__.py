@@ -49,6 +49,6 @@ from .plan import (
     plan_prefill,
     transition,
 )
-from .tiles import Layout, Placement, Tile, gather, partition, replicate
+from .tiles import Layout
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ collectives cost model, as do the cache-attention aggregations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,8 +162,10 @@ def _tile_bytes(rows: int, cols: int, n: int) -> int:
     return -(-rows // n) * -(-cols // n) * ELEMENT_BYTES
 
 
-def _check_plan_memory(cfg: PlmrConfig, shape: ModelShape, n: int, phase: str) -> None:
-    """Cumulative per-core byte estimate; raises naming the violating tensor."""
+def _check_plan(cfg: PlmrConfig, shape: ModelShape, n: int, phase: str) -> None:
+    """Reject a grid larger than the mesh (ConfigError) or over the per-core
+    memory budget by a cumulative byte estimate (CapacityError naming the tensor)."""
+    cfg.check_grid(f"plan_{phase}", n, n)
     e, f = shape.embed, shape.ffn
     ln = shape.seq if phase == "prefill" else 1
     # Weights are resident once; streamed activations carry a double buffer.
@@ -185,86 +187,71 @@ def _check_plan_memory(cfg: PlmrConfig, shape: ModelShape, n: int, phase: str) -
             )
 
 
-def _weight_tensor_plans(phase: str) -> dict[str, TensorPlan]:
+# Both phases run one op sequence; only the kernels differ. Per phase: the
+# projection/FFN kind, then the score and attention kinds with their K and V
+# inputs (prefill reads this layer's K and V, decode the cache).
+_PHASE_KERNELS = {
+    "prefill": ("dist_gemm", ("dist_gemm_t", "k"), ("dist_gemm", "v")),
+    "decode": ("dist_gemv", ("cache_gemv_qk", "kv"), ("cache_gemv_pv", "kv")),
+}
+
+
+def _plan_layer(cfg: PlmrConfig, shape: ModelShape, n: int, phase: str,
+                x_layout: Layout) -> LayerPlan:
+    _check_plan(cfg, shape, n, phase)
+    proj, (score, k_in), (attn, v_in) = _PHASE_KERNELS[phase]
+    tensors = {"x": TensorPlan(x_layout)}
     variant = "skewed" if phase == "prefill" else "aligned"
-    return {
-        "wq": TensorPlan(Layout((partitioned("E", Axis.Y), partitioned("H", Axis.X))), variant),
-        "wk": TensorPlan(Layout((partitioned("E", Axis.Y), partitioned("H", Axis.X))), variant),
-        "wv": TensorPlan(Layout((partitioned("E", Axis.Y), partitioned("H", Axis.X))), variant),
-        "wo": TensorPlan(Layout((partitioned("H", Axis.Y), partitioned("E", Axis.X))), variant),
-        "win": TensorPlan(Layout((partitioned("E", Axis.Y), partitioned("F", Axis.X))), variant),
-        "wout": TensorPlan(Layout((partitioned("F", Axis.Y), partitioned("E", Axis.X))), variant),
-    }
+    for name, rows, cols in [("wq", "E", "H"), ("wk", "E", "H"), ("wv", "E", "H"),
+                             ("wo", "H", "E"), ("win", "E", "F"), ("wout", "F", "E")]:
+        tensors[name] = TensorPlan(
+            Layout((partitioned(rows, Axis.Y), partitioned(cols, Axis.X))), variant)
+
+    ops = [
+        PlanOp("rmsnorm", "norm1", ("x",), "xn"),
+        PlanOp(proj, "proj_q", ("xn", "wq"), "q"),
+        PlanOp(proj, "proj_k", ("xn", "wk"), "k"),
+        PlanOp(proj, "proj_v", ("xn", "wv"), "v"),
+        PlanOp("kv_append", "cache_kv", ("k", "v"), "kv"),
+    ]
+    for h in range(shape.heads):
+        ops.append(PlanOp(score, f"score_h{h}", ("q", k_in), f"s{h}", head=h))
+        ops.append(PlanOp("softmax", f"probs_h{h}", (f"s{h}",), f"p{h}", head=h))
+        ops.append(PlanOp(attn, f"attn_h{h}", (f"p{h}", v_in), f"a{h}", head=h))
+    ops += [
+        PlanOp("concat_heads", "concat", tuple(f"a{h}" for h in range(shape.heads)), "attn"),
+        PlanOp(proj, "proj_o", ("attn", "wo"), "o"),
+        PlanOp("residual_add", "res1", ("x", "o"), "x1"),
+        PlanOp("rmsnorm", "norm2", ("x1",), "x1n"),
+        PlanOp(proj, "ffn_in", ("x1n", "win"), "ffn"),
+        PlanOp("relu", "act", ("ffn",), "ffn_r"),
+        PlanOp(proj, "ffn_out", ("ffn_r", "wout"), "ffn2"),
+        PlanOp("residual_add", "res2", ("x1", "ffn2"), "y"),
+    ]
+    return LayerPlan(phase, n, shape, tensors, ops)
 
 
 def plan_prefill(cfg: PlmrConfig, shape: ModelShape, n: int) -> LayerPlan:
-    if n > min(cfg.width, cfg.height):
-        raise CapacityError(f"grid {n}x{n} larger than mesh {cfg.width}x{cfg.height}")
-    _check_plan_memory(cfg, shape, n, "prefill")
-    tensors = {"x": TensorPlan(Layout((partitioned("L", Axis.Y), partitioned("E", Axis.X))))}
-    tensors.update(_weight_tensor_plans("prefill"))
-
-    ops = [
-        PlanOp("rmsnorm", "norm1", ("x",), "xn"),
-        PlanOp("dist_gemm", "proj_q", ("xn", "wq"), "q"),
-        PlanOp("dist_gemm", "proj_k", ("xn", "wk"), "k"),
-        PlanOp("dist_gemm", "proj_v", ("xn", "wv"), "v"),
-        PlanOp("kv_append", "cache_kv", ("k", "v"), "kv"),
-    ]
-    for h in range(shape.heads):
-        ops.append(PlanOp("dist_gemm_t", f"score_h{h}", ("q", "k"), f"s{h}", head=h))
-        ops.append(PlanOp("softmax", f"probs_h{h}", (f"s{h}",), f"p{h}", head=h))
-        ops.append(PlanOp("dist_gemm", f"attn_h{h}", (f"p{h}", "v"), f"a{h}", head=h))
-    ops += [
-        PlanOp("concat_heads", "concat", tuple(f"a{h}" for h in range(shape.heads)), "attn"),
-        PlanOp("dist_gemm", "proj_o", ("attn", "wo"), "o"),
-        PlanOp("residual_add", "res1", ("x", "o"), "x1"),
-        PlanOp("rmsnorm", "norm2", ("x1",), "x1n"),
-        PlanOp("dist_gemm", "ffn_in", ("x1n", "win"), "ffn"),
-        PlanOp("relu", "act", ("ffn",), "ffn_r"),
-        PlanOp("dist_gemm", "ffn_out", ("ffn_r", "wout"), "ffn2"),
-        PlanOp("residual_add", "res2", ("x1", "ffn2"), "y"),
-    ]
-    return LayerPlan("prefill", n, shape, tensors, ops)
+    return _plan_layer(cfg, shape, n, "prefill",
+                       Layout((partitioned("L", Axis.Y), partitioned("E", Axis.X))))
 
 
 def plan_decode(cfg: PlmrConfig, shape: ModelShape, n: int) -> LayerPlan:
-    if n > min(cfg.width, cfg.height):
-        raise CapacityError(f"grid {n}x{n} larger than mesh {cfg.width}x{cfg.height}")
-    _check_plan_memory(cfg, shape, n, "decode")
-    tensors = {"x": TensorPlan(Layout((partitioned("E", Axis.Y), replicated("L", Axis.X))))}
-    tensors.update(_weight_tensor_plans("decode"))
-
-    ops = [
-        PlanOp("rmsnorm", "norm1", ("x",), "xn"),
-        PlanOp("dist_gemv", "proj_q", ("xn", "wq"), "q"),
-        PlanOp("dist_gemv", "proj_k", ("xn", "wk"), "k"),
-        PlanOp("dist_gemv", "proj_v", ("xn", "wv"), "v"),
-        PlanOp("kv_append", "cache_kv", ("k", "v"), "kv"),
-    ]
-    for h in range(shape.heads):
-        ops.append(PlanOp("cache_gemv_qk", f"score_h{h}", ("q", "kv"), f"s{h}", head=h))
-        ops.append(PlanOp("softmax", f"probs_h{h}", (f"s{h}",), f"p{h}", head=h))
-        ops.append(PlanOp("cache_gemv_pv", f"attn_h{h}", (f"p{h}", "kv"), f"a{h}", head=h))
-    ops += [
-        PlanOp("concat_heads", "concat", tuple(f"a{h}" for h in range(shape.heads)), "attn"),
-        PlanOp("dist_gemv", "proj_o", ("attn", "wo"), "o"),
-        PlanOp("residual_add", "res1", ("x", "o"), "x1"),
-        PlanOp("rmsnorm", "norm2", ("x1",), "x1n"),
-        PlanOp("dist_gemv", "ffn_in", ("x1n", "win"), "ffn"),
-        PlanOp("relu", "act", ("ffn",), "ffn_r"),
-        PlanOp("dist_gemv", "ffn_out", ("ffn_r", "wout"), "ffn2"),
-        PlanOp("residual_add", "res2", ("x1", "ffn2"), "y"),
-    ]
-    return LayerPlan("decode", n, shape, tensors, ops)
+    return _plan_layer(cfg, shape, n, "decode",
+                       Layout((partitioned("E", Axis.Y), replicated("L", Axis.X))))
 
 
-@dataclass
 class KvValueStore:
-    """Global K/V vectors per token for one layer; placement lives in KvMeshState."""
+    """One layer's K and V rows, append-only; placement lives in KvMeshState.
 
-    k: dict[int, np.ndarray] = field(default_factory=dict)
-    v: dict[int, np.ndarray] = field(default_factory=dict)
+    Tokens are appended in id order and the shift keeps that order top to
+    bottom, so the first ``count`` rows are the cache in token order.
+    """
+
+    def __init__(self, max_tokens: int, embed: int):
+        self.k = np.zeros((max_tokens, embed), dtype=np.float32)
+        self.v = np.zeros((max_tokens, embed), dtype=np.float32)
+        self.count = 0
 
 
 def _allreduce_cost(cfg: PlmrConfig, report: SimReport, label: str, group: int,
@@ -274,15 +261,6 @@ def _allreduce_cost(cfg: PlmrConfig, report: SimReport, label: str, group: int,
         return
     sub, _ = ktree_cost(cfg, group, max(elems, 1) * ELEMENT_BYTES, k, broadcast)
     report.merge(sub, prefix=label + ".")
-
-
-def _elemwise_cycles(cfg: PlmrConfig, elems: int, n: int) -> int:
-    per_core = -(-elems // (n * n))
-    return -(-per_core // cfg.macs_per_cycle)
-
-
-def _head_slice(shape: ModelShape, h: int) -> slice:
-    return slice(h * shape.head_dim, (h + 1) * shape.head_dim)
 
 
 def _kv_chunk_bytes(shape: ModelShape, n: int) -> int:
@@ -295,85 +273,179 @@ def new_kv_state(shape: ModelShape, n: int, max_tokens: int) -> KvMeshState:
                        chunk_bytes=_kv_chunk_bytes(shape, n))
 
 
-def _append_kv(cfg: PlmrConfig, report: SimReport, state: KvMeshState,
-               store: KvValueStore, k_rows: np.ndarray, v_rows: np.ndarray,
-               base_token: int) -> None:
-    rows = np.atleast_2d(k_rows)
-    vrows = np.atleast_2d(v_rows)
-    for i in range(rows.shape[0]):
-        token = base_token + i
-        store.k[token] = rows[i].astype(np.float32)
-        store.v[token] = vrows[i].astype(np.float32)
-        sub = kv_append_shift(cfg, state, token)
-        report.merge(sub, prefix=f"kv{token}.")
+@dataclass
+class _LayerRun:
+    """One layer's inputs, its named tensors so far, and its report."""
+
+    cfg: PlmrConfig
+    plan: LayerPlan
+    w: LayerWeights
+    kv_state: KvMeshState
+    kv_store: KvValueStore
+    token: int  # id of the first token this layer appends
+    k: int
+    env: dict[str, np.ndarray]
+    report: SimReport
+    cache_rows: int = 0  # most cached tokens on one core, set by kv_append
+
+    def head(self, op: PlanOp) -> slice:
+        d = self.plan.shape.head_dim
+        return slice(op.head * d, (op.head + 1) * d)
+
+    def allreduce(self, label: str, group: int, elems: int) -> None:
+        _allreduce_cost(self.cfg, self.report, label, group, elems, k=self.k)
+
+    def compute(self, label: str, cycles: int) -> None:
+        self.report.add_step(label, StepCost.zero(), cycles, overlap=False)
+
+    def elemwise(self, label: str, elems: int) -> None:
+        """Charge an elementwise pass spread evenly over the grid."""
+        per_core = -(-elems // (self.plan.n * self.plan.n))
+        self.compute(label, -(-per_core // self.cfg.macs_per_cycle))
+
+    def cache_local(self, label: str) -> None:
+        """Charge one column group's local pass over its cache slice."""
+        shape, n = self.plan.shape, self.plan.n
+        heads_per_col = max(1, -(-shape.heads // n))
+        slice_dims = -(-shape.embed // n)
+        self.compute(label, -(-heads_per_col * self.cache_rows * slice_dims
+                               // self.cfg.macs_per_cycle))
+
+
+# Op handlers: each reads its inputs from run.env, charges run.report and
+# stores its output. Shared kinds first, then each phase's kernels.
+
+def _rmsnorm(run: _LayerRun, op: PlanOp) -> None:
+    src = run.env[op.inputs[0]]
+    gamma = run.w.gamma1 if op.name == "norm1" else run.w.gamma2
+    # The sum of squares reduces across n cores: L/n values each in prefill, E/n in decode.
+    run.allreduce(op.name, run.plan.n, -(-src.shape[0] // run.plan.n))
+    run.elemwise(op.name + ".scale", src.size)
+    run.env[op.output] = reference.rmsnorm(src, gamma).astype(np.float32)
+
+
+def _residual_add(run: _LayerRun, op: PlanOp) -> None:
+    run.env[op.output] = run.env[op.inputs[0]] + run.env[op.inputs[1]]
+    run.elemwise(op.name, run.env[op.output].size)
+
+
+def _relu(run: _LayerRun, op: PlanOp) -> None:
+    run.env[op.output] = np.maximum(run.env[op.inputs[0]], 0.0)
+    run.elemwise(op.name, run.env[op.output].size)
+
+
+def _concat_heads(run: _LayerRun, op: PlanOp) -> None:
+    run.env[op.output] = np.concatenate([run.env[i] for i in op.inputs], axis=-1)
+
+
+def _kv_append(run: _LayerRun, op: PlanOp) -> None:
+    store = run.kv_store
+    k_rows, v_rows = (np.atleast_2d(run.env[i]) for i in op.inputs)
+    end = store.count + k_rows.shape[0]
+    if end > len(store.k):
+        raise CapacityError(f"{op.name}: K/V store holds {len(store.k)} tokens, need {end}")
+    store.k[store.count:end] = k_rows
+    store.v[store.count:end] = v_rows
+    store.count = end
+    for token in range(run.token, run.token + k_rows.shape[0]):
+        run.report.merge(kv_append_shift(run.cfg, run.kv_state, token), prefix=f"kv{token}.")
+    run.cache_rows = max(run.kv_state.row_counts())
+
+
+def _dist_gemm(run: _LayerRun, op: PlanOp) -> None:
+    a = run.env[op.inputs[0]]
+    # A per-head op multiplies by that head's columns of V, the others by a weight.
+    if op.head is None:
+        b = getattr(run.w, op.inputs[1])
+    else:
+        b = run.env[op.inputs[1]][:, run.head(op)]
+    c, sub = mesh_gemm(run.cfg, GemmProblem(a, b, run.plan.n))
+    run.report.merge(sub, prefix=op.name + ".")
+    run.env[op.output] = c
+
+
+def _dist_gemm_t(run: _LayerRun, op: PlanOp) -> None:
+    q, kk = (run.env[i][:, run.head(op)] for i in op.inputs)
+    c, sub = dist_gemm_t(run.cfg, GemmProblem(q, kk, run.plan.n))
+    run.report.merge(sub, prefix=op.name + ".")
+    run.env[op.output] = c / math.sqrt(run.plan.shape.head_dim)
+
+
+def _prefill_softmax(run: _LayerRun, op: PlanOp) -> None:
+    s = run.env[op.inputs[0]].astype(np.float64)
+    s = np.where(np.triu(np.ones(s.shape, dtype=bool), k=1), -np.inf, s)
+    # Row max and row sum both ride the collectives along X.
+    rows = -(-s.shape[0] // run.plan.n)
+    run.allreduce(op.name + ".max", run.plan.n, rows)
+    run.allreduce(op.name + ".sum", run.plan.n, rows)
+    run.elemwise(op.name + ".exp", s.size)
+    run.env[op.output] = reference.softmax(s).astype(np.float32)
+
+
+def _dist_gemv(run: _LayerRun, op: PlanOp) -> None:
+    a, b = run.env[op.inputs[0]], getattr(run.w, op.inputs[1])
+    c, sub = mesh_gemv(run.cfg, GemvProblem(a, b, run.plan.n), k=run.k, broadcast=True)
+    run.report.merge(sub, prefix=op.name + ".")
+    run.env[op.output] = c
+
+
+def _cache_gemv_qk(run: _LayerRun, op: PlanOp) -> None:
+    shape, n = run.plan.shape, run.plan.n
+    qh = run.env[op.inputs[0]][run.head(op)]
+    kh = run.kv_store.k[:run.kv_store.count, run.head(op)]
+    run.cache_local(op.name + ".local")
+    cols_per_head = max(1, n // shape.heads)
+    if cols_per_head > 1:
+        run.allreduce(op.name + ".xsum", cols_per_head, run.cache_rows)
+    run.env[op.output] = (kh @ qh) / math.sqrt(shape.head_dim)
+
+
+def _decode_softmax(run: _LayerRun, op: PlanOp) -> None:
+    s = run.env[op.inputs[0]]
+    run.allreduce(op.name + ".max", run.plan.n, run.cache_rows)
+    run.allreduce(op.name + ".sum", run.plan.n, run.cache_rows)
+    run.compute(op.name + ".exp", -(-s.size // run.cfg.macs_per_cycle))
+    run.env[op.output] = reference.softmax(s.astype(np.float64)).astype(np.float32)
+
+
+def _cache_gemv_pv(run: _LayerRun, op: PlanOp) -> None:
+    vh = run.kv_store.v[:run.kv_store.count, run.head(op)]
+    run.cache_local(op.name + ".local")
+    run.allreduce(op.name + ".ysum", run.plan.n, -(-run.plan.shape.embed // run.plan.n))
+    run.env[op.output] = run.env[op.inputs[0]] @ vh
+
+
+_SHARED_OPS = {"rmsnorm": _rmsnorm, "residual_add": _residual_add, "relu": _relu,
+               "concat_heads": _concat_heads, "kv_append": _kv_append}
+_OPS = {
+    "prefill": {**_SHARED_OPS, "dist_gemm": _dist_gemm, "dist_gemm_t": _dist_gemm_t,
+                "softmax": _prefill_softmax},
+    "decode": {**_SHARED_OPS, "dist_gemv": _dist_gemv, "cache_gemv_qk": _cache_gemv_qk,
+               "softmax": _decode_softmax, "cache_gemv_pv": _cache_gemv_pv},
+}
+
+
+def _run_layer(phase: str, cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
+               w: LayerWeights, kv_state: KvMeshState, kv_store: KvValueStore,
+               token: int, k: int) -> tuple[np.ndarray, SimReport]:
+    """Run the plan's ops in order through the phase's op table."""
+    run = _LayerRun(cfg, plan, w, kv_state, kv_store, token, k, {"x": x},
+                    SimReport(algorithm=f"{phase}_layer", meta={"n": plan.n}))
+    for op in plan.ops:
+        handler = _OPS[phase].get(op.kind)
+        if handler is None:
+            raise ValueError(f"{phase} plan contains unexpected op kind {op.kind!r}")
+        handler(run, op)
+    return run.env["y"], run.report
 
 
 def execute_prefill_layer(cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
                           w: LayerWeights, kv_state: KvMeshState,
                           kv_store: KvValueStore, base_token: int,
                           k: int = 2) -> tuple[np.ndarray, SimReport]:
-    """Run one prefill layer through the plan's operator sequence."""
-    shape = plan.shape
-    n = plan.n
-    report = SimReport(algorithm="prefill_layer", meta={"n": n})
-    env: dict[str, np.ndarray] = {"x": np.asarray(x, dtype=np.float32)}
-    weights = dict(w.named())
-    ln = env["x"].shape[0]
-    mask = np.triu(np.ones((ln, ln), dtype=bool), k=1)
-
-    for op in plan.ops:
-        if op.kind == "rmsnorm":
-            src = env[op.inputs[0]]
-            gamma = w.gamma1 if op.name == "norm1" else w.gamma2
-            _allreduce_cost(cfg, report, op.name, n, -(-ln // n), k=k)
-            report.add_step(op.name + ".scale", StepCost.zero(),
-                            _elemwise_cycles(cfg, src.size, n), overlap=False)
-            env[op.output] = reference.rmsnorm(src, gamma).astype(np.float32)
-        elif op.kind == "dist_gemm":
-            a = env[op.inputs[0]]
-            b = weights.get(op.inputs[1], env.get(op.inputs[1]))
-            if op.head is not None and op.inputs[1] == "v":
-                b = env["v"][:, _head_slice(shape, op.head)]
-            c, sub = mesh_gemm(cfg, GemmProblem(a, b, n))
-            report.merge(sub, prefix=op.name + ".")
-            env[op.output] = c
-        elif op.kind == "dist_gemm_t":
-            q = env[op.inputs[0]][:, _head_slice(shape, op.head)]
-            kk = env[op.inputs[1]][:, _head_slice(shape, op.head)]
-            c, sub = dist_gemm_t(cfg, GemmProblem(q, kk, n))
-            report.merge(sub, prefix=op.name + ".")
-            env[op.output] = c / math.sqrt(shape.head_dim)
-        elif op.kind == "softmax":
-            s = env[op.inputs[0]].astype(np.float64)
-            s = np.where(mask, -np.inf, s)
-            # Row max and row sum both ride the collectives along X.
-            _allreduce_cost(cfg, report, op.name + ".max", n, -(-ln // n), k=k)
-            _allreduce_cost(cfg, report, op.name + ".sum", n, -(-ln // n), k=k)
-            report.add_step(op.name + ".exp", StepCost.zero(),
-                            _elemwise_cycles(cfg, s.size, n), overlap=False)
-            env[op.output] = reference.softmax(s).astype(np.float32)
-        elif op.kind == "kv_append":
-            _append_kv(cfg, report, kv_state, kv_store, env["k"], env["v"], base_token)
-        elif op.kind == "concat_heads":
-            env[op.output] = np.concatenate([env[i] for i in op.inputs], axis=1)
-        elif op.kind == "residual_add":
-            env[op.output] = env[op.inputs[0]] + env[op.inputs[1]]
-            report.add_step(op.name, StepCost.zero(),
-                            _elemwise_cycles(cfg, env[op.output].size, n), overlap=False)
-        elif op.kind == "relu":
-            env[op.output] = np.maximum(env[op.inputs[0]], 0.0)
-            report.add_step(op.name, StepCost.zero(),
-                            _elemwise_cycles(cfg, env[op.output].size, n), overlap=False)
-        else:
-            raise ValueError(f"prefill plan contains unexpected op kind {op.kind!r}")
-    return env["y"], report
-
-
-def _cache_arrays(state: KvMeshState, store: KvValueStore) -> tuple[np.ndarray, np.ndarray]:
-    order = state.token_order()
-    ks = np.stack([store.k[t] for t in order])
-    vs = np.stack([store.v[t] for t in order])
-    return ks, vs
+    """Run one prefill layer: distributed GEMMs; caches tokens from base_token on."""
+    return _run_layer("prefill", cfg, plan, np.asarray(x, dtype=np.float32), w,
+                      kv_state, kv_store, base_token, k)
 
 
 def execute_decode_layer(cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
@@ -381,70 +453,8 @@ def execute_decode_layer(cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
                          kv_store: KvValueStore, token: int,
                          k: int = 2) -> tuple[np.ndarray, SimReport]:
     """Run one decode step through the plan: GEMVs plus cache attention."""
-    shape = plan.shape
-    n = plan.n
-    report = SimReport(algorithm="decode_layer", meta={"n": n})
-    env: dict[str, np.ndarray] = {"x": np.asarray(x, dtype=np.float32).reshape(-1)}
-    weights = dict(w.named())
-    slice_dims = -(-shape.embed // n)  # cache slice width per column
-    heads_per_col = max(1, -(-shape.heads // n))
-    cols_per_head = max(1, n // shape.heads)
-
-    for op in plan.ops:
-        if op.kind == "rmsnorm":
-            src = env[op.inputs[0]]
-            gamma = w.gamma1 if op.name == "norm1" else w.gamma2
-            _allreduce_cost(cfg, report, op.name, n, -(-shape.embed // n), k=k)
-            report.add_step(op.name + ".scale", StepCost.zero(),
-                            _elemwise_cycles(cfg, src.size, n), overlap=False)
-            env[op.output] = reference.rmsnorm(src, gamma).astype(np.float32)
-        elif op.kind == "dist_gemv":
-            a = env[op.inputs[0]]
-            b = weights[op.inputs[1]]
-            c, sub = mesh_gemv(cfg, GemvProblem(a, b, n), k=k, broadcast=True)
-            report.merge(sub, prefix=op.name + ".")
-            env[op.output] = c
-        elif op.kind == "kv_append":
-            _append_kv(cfg, report, kv_state, kv_store, env["k"], env["v"], token)
-            # Every cache op of this step reads the same cache: build it once.
-            ks, vs = _cache_arrays(kv_state, kv_store)
-            max_tokens = max(kv_state.row_counts())
-        elif op.kind == "cache_gemv_qk":
-            qh = env["q"][_head_slice(shape, op.head)]
-            kh = ks[:, _head_slice(shape, op.head)]
-            report.add_step(op.name + ".local", StepCost.zero(),
-                            -(-heads_per_col * max_tokens * slice_dims // cfg.macs_per_cycle),
-                            overlap=False)
-            if cols_per_head > 1:
-                _allreduce_cost(cfg, report, op.name + ".xsum", cols_per_head,
-                                max_tokens, k=k)
-            env[op.output] = (kh @ qh) / math.sqrt(shape.head_dim)
-        elif op.kind == "softmax":
-            _allreduce_cost(cfg, report, op.name + ".max", n, max_tokens, k=k)
-            _allreduce_cost(cfg, report, op.name + ".sum", n, max_tokens, k=k)
-            report.add_step(op.name + ".exp", StepCost.zero(),
-                            -(-env[op.inputs[0]].size // cfg.macs_per_cycle), overlap=False)
-            env[op.output] = reference.softmax(env[op.inputs[0]].astype(np.float64)).astype(np.float32)
-        elif op.kind == "cache_gemv_pv":
-            vh = vs[:, _head_slice(shape, op.head)]
-            report.add_step(op.name + ".local", StepCost.zero(),
-                            -(-heads_per_col * max_tokens * slice_dims // cfg.macs_per_cycle),
-                            overlap=False)
-            _allreduce_cost(cfg, report, op.name + ".ysum", n, slice_dims, k=k)
-            env[op.output] = env[op.inputs[0]] @ vh
-        elif op.kind == "concat_heads":
-            env[op.output] = np.concatenate([env[i] for i in op.inputs])
-        elif op.kind == "residual_add":
-            env[op.output] = env[op.inputs[0]] + env[op.inputs[1]]
-            report.add_step(op.name, StepCost.zero(),
-                            _elemwise_cycles(cfg, env[op.output].size, n), overlap=False)
-        elif op.kind == "relu":
-            env[op.output] = np.maximum(env[op.inputs[0]], 0.0)
-            report.add_step(op.name, StepCost.zero(),
-                            _elemwise_cycles(cfg, env[op.output].size, n), overlap=False)
-        else:
-            raise ValueError(f"decode plan contains unexpected op kind {op.kind!r}")
-    return env["y"], report
+    return _run_layer("decode", cfg, plan, np.asarray(x, dtype=np.float32).reshape(-1), w,
+                      kv_state, kv_store, token, k)
 
 
 def transition(cfg: PlmrConfig, model: ToyModel, prefill_plan: LayerPlan,
@@ -519,7 +529,7 @@ def generate_dist(cfg: PlmrConfig, model: ToyModel, prompt: list[int], out_len: 
 
     prefill_report = SimReport(algorithm="prefill", meta={"seed": model.seed})
     kv_states = [new_kv_state(shape, prefill_n, max_tokens) for _ in model.layers]
-    kv_stores = [KvValueStore() for _ in model.layers]
+    kv_stores = [KvValueStore(max_tokens, shape.embed) for _ in model.layers]
 
     x = model.embed[np.asarray(prompt, dtype=int)].astype(np.float32)
     diameter = max(cfg.width + cfg.height - 2, 1)
@@ -561,7 +571,7 @@ class AutotuneResult:
     prefill_n: int | None
     decode_n: int | None
     entries: list[tuple[int, int, int]]  # (prefill_n, decode_n, total_cycles)
-    infeasible: dict[int, str]
+    infeasible: dict[int, str]  # grid side -> memory budget it exceeds
 
     @property
     def feasible(self) -> bool:
@@ -575,7 +585,11 @@ def select_best(entries: list[tuple[int, int, int]]) -> tuple[int, int, int]:
 
 def autotune(cfg: PlmrConfig, model: ToyModel, prompt_len: int, out_len: int,
              candidates: list[int], k: int = 2) -> AutotuneResult:
-    """Exhaustively simulate candidate (prefill, decode) grid pairs."""
+    """Exhaustively simulate candidate (prefill, decode) grid pairs.
+
+    A grid over the memory budget is set aside as infeasible; a grid larger
+    than the mesh is a configuration error and raises ``ConfigError``.
+    """
     if not candidates:
         raise ValueError("candidate grid list is empty")
     prompt = [i % model.vocab for i in range(prompt_len)]

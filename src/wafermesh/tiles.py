@@ -1,22 +1,19 @@
-"""Tensor tiles, partition/replication layouts, and placement onto the mesh.
+"""Layout notation for tensors on the mesh, and the zero padding of tiles.
 
 A layout assigns each tensor dimension to a mesh axis either partitioned
 (subscript notation, e.g. ``E_x``) or replicated (superscript, e.g. ``L^x``).
-Partitioning zero-pads up to the next multiple of the grid dimension; gather
-strips the padding, so gather(partition(T)) == T exactly. Tiles are row-major
-float32 throughout; transposes are explicit layout changes, never implicit.
+Partitioning zero-pads up to the next multiple of the grid dimension
+(:func:`pad_matrix`); the algorithms cut the padded matrix into per-core tiles
+(``gemm._split``) and strip the padding again when they reassemble it.
+Transposes are explicit layout changes, never implicit.
 """
 
 from __future__ import annotations
 
-import csv
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .fabric import ELEMENT_BYTES, CapacityError, CoreCoord, IntegrityError
 
 
 class ShapeError(ValueError):
@@ -61,9 +58,6 @@ class Layout:
     def notation(self) -> str:
         return "".join(d.notation() for d in self.dims)
 
-    def spec(self, i: int) -> DimSpec:
-        return self.dims[i]
-
 
 def partitioned(name: str, axis: Axis) -> DimSpec:
     return DimSpec(name, axis, Mode.PARTITIONED)
@@ -71,24 +65,6 @@ def partitioned(name: str, axis: Axis) -> DimSpec:
 
 def replicated(name: str, axis: Axis) -> DimSpec:
     return DimSpec(name, axis, Mode.REPLICATED)
-
-
-@dataclass
-class Tile:
-    rows: int
-    cols: int
-    data: np.ndarray  # (rows, cols) float32, row-major
-
-    @staticmethod
-    def of(arr: np.ndarray) -> "Tile":
-        arr = np.ascontiguousarray(arr, dtype=np.float32)
-        if arr.ndim != 2:
-            raise ShapeError(f"tile data must be 2-D, got shape {arr.shape}")
-        return Tile(arr.shape[0], arr.shape[1], arr)
-
-    @property
-    def nbytes(self) -> int:
-        return ELEMENT_BYTES * self.rows * self.cols
 
 
 def _pad_to(n: int, parts: int) -> int:
@@ -104,188 +80,3 @@ def pad_matrix(m: np.ndarray, row_parts: int, col_parts: int) -> np.ndarray:
     out = np.zeros((pr, pc), dtype=np.float32)
     out[: m.shape[0], : m.shape[1]] = m
     return out
-
-
-@dataclass
-class Placement:
-    """Tiles owned by each core for each named tensor, with byte accounting."""
-
-    grid: tuple[int, int]  # (nx, ny)
-    tensors: dict[str, dict[CoreCoord, Tile]] = field(default_factory=dict)
-    shapes: dict[str, tuple[int, ...]] = field(default_factory=dict)  # unpadded
-    layouts: dict[str, Layout] = field(default_factory=dict)
-
-    def add(self, name: str, shape, layout: Layout, tiles: dict[CoreCoord, Tile]) -> None:
-        self.tensors[name] = tiles
-        self.shapes[name] = tuple(shape)
-        self.layouts[name] = layout
-
-    def bytes_at(self, core: CoreCoord) -> int:
-        return sum(t[core].nbytes for t in self.tensors.values() if core in t)
-
-    def max_bytes_per_core(self) -> int:
-        nx, ny = self.grid
-        return max(
-            self.bytes_at(CoreCoord(x, y)) for x in range(nx) for y in range(ny)
-        )
-
-    def check_budget(self, mem_per_core: int) -> None:
-        nx, ny = self.grid
-        for y in range(ny):
-            for x in range(nx):
-                used = self.bytes_at(CoreCoord(x, y))
-                if used > mem_per_core:
-                    raise CapacityError(
-                        f"core ({x},{y}): {used} bytes placed, budget {mem_per_core}"
-                    )
-
-
-def _grid_index(spec: DimSpec, core: CoreCoord) -> int:
-    return core.x if spec.axis is Axis.X else core.y
-
-
-def partition(tensor: np.ndarray, grid: tuple[int, int], layout: Layout,
-              name: str = "t") -> Placement:
-    """Split a matrix into equal tiles across the grid per the layout.
-
-    2-D tensors only; vectors go through :func:`replicate`. Each partitioned
-    dimension is cut into contiguous equal blocks along its mesh axis;
-    replicated dimensions are copied to every core along theirs.
-    """
-    tensor = np.asarray(tensor, dtype=np.float32)
-    if tensor.ndim != 2 or len(layout.dims) != 2:
-        raise ShapeError("partition expects a 2-D tensor and a 2-dim layout")
-    nx, ny = grid
-    if nx < 1 or ny < 1:
-        raise ShapeError(f"bad grid {grid}")
-
-    def parts_for(spec: DimSpec) -> int:
-        if spec.mode is Mode.REPLICATED:
-            return 1
-        return nx if spec.axis is Axis.X else ny
-
-    r_parts = parts_for(layout.spec(0))
-    c_parts = parts_for(layout.spec(1))
-    if tensor.shape[0] < 1 or tensor.shape[1] < 1:
-        raise ShapeError(f"tensor shape {tensor.shape} too small for grid {grid}")
-    padded = pad_matrix(tensor, r_parts, c_parts)
-    tr, tc = padded.shape[0] // r_parts, padded.shape[1] // c_parts
-
-    tiles: dict[CoreCoord, Tile] = {}
-    for y in range(ny):
-        for x in range(nx):
-            core = CoreCoord(x, y)
-            r0 = (_grid_index(layout.spec(0), core) % r_parts) * tr
-            c0 = (_grid_index(layout.spec(1), core) % c_parts) * tc
-            tiles[core] = Tile.of(padded[r0 : r0 + tr, c0 : c0 + tc])
-
-    p = Placement(grid)
-    p.add(name, tensor.shape, layout, tiles)
-    return p
-
-
-def gather(placement: Placement, name: str) -> np.ndarray:
-    """Reassemble the global tensor; inverse of partition up to padding removal."""
-    if name not in placement.tensors:
-        raise IntegrityError(f"tensor {name!r} not in placement")
-    tiles = placement.tensors[name]
-    layout = placement.layouts[name]
-    shape = placement.shapes[name]
-    nx, ny = placement.grid
-
-    def parts_for(spec: DimSpec) -> int:
-        if spec.mode is Mode.REPLICATED:
-            return 1
-        return nx if spec.axis is Axis.X else ny
-
-    r_parts, c_parts = parts_for(layout.spec(0)), parts_for(layout.spec(1))
-    sample = next(iter(tiles.values()))
-    out = np.zeros((r_parts * sample.rows, c_parts * sample.cols), dtype=np.float32)
-    seen = set()
-    for core, tile in tiles.items():
-        ri = _grid_index(layout.spec(0), core) % r_parts
-        ci = _grid_index(layout.spec(1), core) % c_parts
-        if (ri, ci) in seen:
-            continue
-        seen.add((ri, ci))
-        out[ri * tile.rows : (ri + 1) * tile.rows,
-            ci * tile.cols : (ci + 1) * tile.cols] = tile.data
-    if len(seen) != r_parts * c_parts:
-        raise IntegrityError(f"tensor {name!r}: missing tiles ({len(seen)} of {r_parts * c_parts})")
-    if len(shape) == 1:
-        return out[: shape[0], 0] if out.shape[1] == 1 else out[0, : shape[0]]
-    return out[: shape[0], : shape[1]]
-
-
-def replicate(vector: np.ndarray, grid: tuple[int, int], partition_axis: Axis,
-              name: str = "v", dim_name: str = "E", mem_per_core: int | None = None) -> Placement:
-    """Partition a vector along one axis and replicate it along the other.
-
-    Cores sharing a position on the partition axis hold bit-identical tiles.
-    """
-    vector = np.asarray(vector, dtype=np.float32)
-    if vector.ndim != 1:
-        raise ShapeError("replicate expects a 1-D vector")
-    nx, ny = grid
-    parts = ny if partition_axis is Axis.Y else nx
-    padded = pad_matrix(vector.reshape(-1, 1), parts, 1)
-    tl = padded.shape[0] // parts
-
-    rep_axis = Axis.X if partition_axis is Axis.Y else Axis.Y
-    layout = Layout((partitioned(dim_name, partition_axis), replicated("1", rep_axis)))
-    tiles: dict[CoreCoord, Tile] = {}
-    for y in range(ny):
-        for x in range(nx):
-            core = CoreCoord(x, y)
-            i = (core.y if partition_axis is Axis.Y else core.x) * tl
-            tiles[core] = Tile.of(padded[i : i + tl, :])
-
-    p = Placement(grid)
-    p.add(name, vector.shape, layout, tiles)
-    if mem_per_core is not None:
-        p.check_budget(mem_per_core)
-    return p
-
-
-def partitioned_bytes(placement: Placement, name: str) -> int:
-    """Total bytes over cores counting each distinct tile position once per owner."""
-    return sum(t.nbytes for t in placement.tensors[name].values())
-
-
-# Matrix I/O: flat binary is two little-endian uint32 dims followed by
-# row-major float32 values; CSV is one row per line for small fixtures.
-
-_MAGIC = struct.Struct("<II")
-
-
-def save_matrix(path: str, m: np.ndarray) -> None:
-    m = np.ascontiguousarray(np.atleast_2d(m), dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC.pack(m.shape[0], m.shape[1]))
-        fh.write(m.astype("<f4").tobytes())
-
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(_MAGIC.size)
-        if len(header) != _MAGIC.size:
-            raise IntegrityError(f"{path}: truncated header")
-        rows, cols = _MAGIC.unpack(header)
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != rows * cols:
-        raise IntegrityError(f"{path}: expected {rows * cols} values, found {data.size}")
-    return data.reshape(rows, cols).astype(np.float32)
-
-
-def save_matrix_csv(path: str, m: np.ndarray) -> None:
-    m = np.atleast_2d(m)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in m:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_matrix_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-    return np.asarray(rows, dtype=np.float32)

@@ -4,6 +4,8 @@ import pytest
 from wafermesh.fabric import CapacityError, ConfigError, PlmrConfig
 from wafermesh.gemm import (
     GemmProblem,
+    _split,
+    _unsplit,
     allgather_gemm,
     allgather_peak_bytes,
     cannon_gemm,
@@ -74,6 +76,15 @@ class TestOracleEquivalence:
             c, _ = algo(CFG, GemmProblem(a, b, 4))
             rel = np.max(np.abs(c - expected)) / max(1.0, np.max(np.abs(expected)))
             assert rel <= 1e-5
+
+
+class TestSplit:
+    def test_unsplit_inverts_split(self):
+        rng = np.random.default_rng(2)
+        for n in range(1, 9):
+            for shape in [(n, n), (4 * n, 2 * n), (n + 1, 2 * n - 1), (5, 7), (1, 9)]:
+                m = rng.standard_normal(shape).astype(np.float32)
+                assert np.array_equal(_unsplit(_split(m, n), *m.shape), m), (n, shape)
 
 
 class TestStepCosts:

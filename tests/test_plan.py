@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from wafermesh import reference
-from wafermesh.fabric import CapacityError, PlmrConfig
+from wafermesh.fabric import CapacityError, ConfigError, PlmrConfig
 from wafermesh.plan import (
     KvValueStore,
     LayerWeights,
     ModelShape,
+    PlanOp,
     autotune,
     execute_decode_layer,
     execute_prefill_layer,
@@ -69,6 +70,11 @@ class TestPlans:
         with pytest.raises(CapacityError, match="tensor w"):
             plan_prefill(tight, SHAPE, 2)
 
+    @pytest.mark.parametrize("planner", [plan_prefill, plan_decode])
+    def test_grid_larger_than_mesh_is_a_config_error(self, planner):
+        with pytest.raises(ConfigError, match=rf"^{planner.__name__}: 16x16 grid larger than the 8x8"):
+            planner(PlmrConfig(width=8, height=8), SHAPE, 16)
+
     def test_grid_1x1_degenerates_to_dense(self):
         roomy = PlmrConfig(width=4, height=4, mem_per_core=1 << 20)
         plan = plan_prefill(roomy, SHAPE, 1)
@@ -87,7 +93,7 @@ class TestExecutePrefill:
         plan = plan_prefill(CFG, shape, 3)
         x = model.embed[np.arange(8) % model.vocab].astype(np.float32)
         state = new_kv_state(shape, 3, 16)
-        store = KvValueStore()
+        store = KvValueStore(16, 32)
         y, report = execute_prefill_layer(CFG, plan, x, model.layers[0], state, store, 0)
         expected, k_ref, v_ref = reference.prefill_layer(x.astype(np.float64),
                                                          model.layers[0], shape.heads)
@@ -108,8 +114,30 @@ class TestExecutePrefill:
         plan = plan_prefill(CFG, shape, 2)
         x = np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32)
         y, _ = execute_prefill_layer(CFG, plan, x, zeros, new_kv_state(shape, 2, 8),
-                                     KvValueStore(), 0)
+                                     KvValueStore(8, 8), 0)
         assert np.array_equal(y, x)  # residuals only; attention output is zero
+
+    def test_kv_store_overflow_is_a_capacity_error(self):
+        shape = ModelShape(embed=8, heads=2, head_dim=4, ffn=8, seq=4)
+        model = make_toy_model(shape, seed=0, n_layers=1)
+        plan = plan_prefill(CFG, shape, 2)
+        with pytest.raises(CapacityError, match="cache_kv: K/V store holds 3 tokens, need 4"):
+            execute_prefill_layer(CFG, plan, model.embed[:4], model.layers[0],
+                                  new_kv_state(shape, 2, 8), KvValueStore(3, 8), 0)
+
+
+@pytest.mark.parametrize("phase, execute, planner", [
+    ("prefill", execute_prefill_layer, plan_prefill),
+    ("decode", execute_decode_layer, plan_decode),
+])
+def test_unknown_op_kind_is_rejected_naming_the_phase(phase, execute, planner):
+    shape = ModelShape(embed=8, heads=2, head_dim=4, ffn=8, seq=4)
+    model = make_toy_model(shape, seed=0, n_layers=1)
+    plan = planner(CFG, shape, 2)
+    plan.ops.insert(1, PlanOp("transpose", "flip", ("xn",), "xt"))
+    x = model.embed[:4] if phase == "prefill" else model.embed[0]
+    with pytest.raises(ValueError, match=f"^{phase} plan contains unexpected op kind 'transpose'"):
+        execute(CFG, plan, x, model.layers[0], new_kv_state(shape, 2, 8), KvValueStore(8, 8), 0)
 
 
 class TestExecuteDecode:
@@ -119,7 +147,7 @@ class TestExecuteDecode:
         w = model.layers[0]
         plan = plan_decode(CFG, shape, 4)
         state = new_kv_state(shape, 4, 16)
-        store = KvValueStore()
+        store = KvValueStore(16, 32)
         k_ref: list[np.ndarray] = []
         v_ref: list[np.ndarray] = []
         rng = np.random.default_rng(9)
@@ -166,14 +194,6 @@ class TestTransition:
             assert st.token_order() == list(range(6))
             assert st.spread() <= 1
         assert report.meta["bytes_moved"] > 0
-
-    def test_weight_round_trip_between_grids(self):
-        from wafermesh.tiles import Axis, Layout, gather, partition, partitioned
-        layout = Layout((partitioned("E", Axis.Y), partitioned("F", Axis.X)))
-        w = np.random.default_rng(1).standard_normal((32, 64)).astype(np.float32)
-        via_4 = gather(partition(w, (4, 4), layout), "t")
-        via_2 = gather(partition(via_4, (2, 2), layout), "t")
-        assert np.array_equal(via_2, w)
 
     def test_cheaper_than_one_decode_step(self):
         model = make_toy_model(SHAPE, seed=0)
@@ -263,6 +283,11 @@ class TestAutotune:
         result = autotune(tiny, model, 8, 2, [2, 4])
         assert not result.feasible
         assert set(result.infeasible) == {2, 4}
+
+    def test_grid_larger_than_mesh_is_an_error_not_infeasible(self):
+        model = make_toy_model(SHAPE, seed=0)
+        with pytest.raises(ConfigError, match="^plan_prefill: 16x16 grid larger than the 8x8"):
+            autotune(PlmrConfig(width=8, height=8), model, 8, 2, [4, 16])
 
     def test_empty_candidates(self):
         model = make_toy_model(SHAPE, seed=0)

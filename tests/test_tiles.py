@@ -1,103 +1,6 @@
-import numpy as np
 import pytest
 
-from wafermesh.fabric import CapacityError, CoreCoord, IntegrityError
-from wafermesh.tiles import (
-    Axis,
-    Layout,
-    ShapeError,
-    gather,
-    load_matrix,
-    load_matrix_csv,
-    partition,
-    partitioned,
-    partitioned_bytes,
-    replicate,
-    replicated,
-    save_matrix,
-    save_matrix_csv,
-)
-
-
-def both_partitioned(r="R", c="C"):
-    return Layout((partitioned(r, Axis.Y), partitioned(c, Axis.X)))
-
-
-class TestPartition:
-    def test_2x2_grid_four_tiles(self):
-        m = np.arange(16, dtype=np.float32).reshape(4, 4)
-        p = partition(m, (2, 2), both_partitioned())
-        tiles = p.tensors["t"]
-        assert all(t.rows == 2 and t.cols == 2 for t in tiles.values())
-        assert np.array_equal(tiles[CoreCoord(0, 0)].data, m[:2, :2])
-        assert np.array_equal(tiles[CoreCoord(1, 1)].data, m[2:, 2:])
-
-    def test_identity_grid(self):
-        m = np.arange(16, dtype=np.float32).reshape(4, 4)
-        p = partition(m, (1, 1), both_partitioned())
-        assert np.array_equal(p.tensors["t"][CoreCoord(0, 0)].data, m)
-
-    def test_padding_and_strip(self):
-        m = np.arange(24, dtype=np.float32).reshape(6, 4)
-        p = partition(m, (4, 4), both_partitioned())
-        tile = p.tensors["t"][CoreCoord(0, 0)]
-        assert (tile.rows, tile.cols) == (2, 1)  # padded to 8x4
-        assert np.array_equal(gather(p, "t"), m)
-
-    def test_round_trip_sweep(self):
-        rng = np.random.default_rng(3)
-        for grid in [(1, 1), (2, 2), (3, 3), (2, 4), (4, 2)]:
-            for shape in [(4, 4), (5, 7), (8, 3), (1, 9)]:
-                m = rng.standard_normal(shape).astype(np.float32)
-                p = partition(m, grid, both_partitioned())
-                assert np.array_equal(gather(p, "t"), m), (grid, shape)
-
-    def test_gather_missing_tile(self):
-        m = np.ones((4, 4), dtype=np.float32)
-        p = partition(m, (2, 2), both_partitioned())
-        del p.tensors["t"][CoreCoord(1, 1)]
-        with pytest.raises(IntegrityError):
-            gather(p, "t")
-
-    def test_partitioned_bytes_sum_equals_padded(self):
-        m = np.ones((6, 4), dtype=np.float32)
-        p = partition(m, (4, 4), both_partitioned())
-        assert partitioned_bytes(p, "t") == 8 * 4 * 4  # padded shape times 4 bytes
-
-
-class TestReplicate:
-    def test_identical_along_x(self):
-        v = np.arange(8, dtype=np.float32)
-        p = replicate(v, (2, 2), Axis.Y)
-        for j in range(2):
-            a = p.tensors["v"][CoreCoord(0, j)].data
-            b = p.tensors["v"][CoreCoord(1, j)].data
-            assert np.array_equal(a, b)
-
-    def test_one_wide_axis_noop(self):
-        v = np.arange(4, dtype=np.float32)
-        p = replicate(v, (1, 4), Axis.Y)
-        assert np.array_equal(gather(p, "v"), v)
-
-    def test_16_elements_on_4x4(self):
-        v = np.arange(16, dtype=np.float32)
-        p = replicate(v, (4, 4), Axis.Y)
-        for y in range(4):
-            row_tiles = [p.tensors["v"][CoreCoord(x, y)].data for x in range(4)]
-            assert all(t.size == 4 for t in row_tiles)
-            for t in row_tiles[1:]:
-                assert np.array_equal(t, row_tiles[0])
-        assert np.array_equal(gather(p, "v"), v)
-
-    def test_replicated_bytes(self):
-        v = np.arange(16, dtype=np.float32)
-        p = replicate(v, (4, 4), Axis.Y)
-        assert partitioned_bytes(p, "v") == v.nbytes * 4  # one copy per column
-
-    def test_budget_violation(self):
-        v = np.zeros(1024, dtype=np.float32)
-        with pytest.raises(CapacityError):
-            replicate(v, (2, 2), Axis.Y, mem_per_core=16)
+from wafermesh.tiles import Axis, Layout, ShapeError, partitioned, replicated
 
 
 class TestLayout:
@@ -116,26 +19,3 @@ class TestLayout:
     def test_weight_notation(self):
         layout = Layout((partitioned("E", Axis.Y), partitioned("F", Axis.X)))
         assert layout.notation() == "E_yF_x"
-
-
-class TestMatrixIO:
-    def test_binary_round_trip(self, tmp_path):
-        m = np.random.default_rng(0).standard_normal((5, 3)).astype(np.float32)
-        path = tmp_path / "m.bin"
-        save_matrix(str(path), m)
-        assert np.array_equal(load_matrix(str(path)), m)
-
-    def test_binary_truncated(self, tmp_path):
-        path = tmp_path / "m.bin"
-        m = np.ones((4, 4), dtype=np.float32)
-        save_matrix(str(path), m)
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(IntegrityError):
-            load_matrix(str(path))
-
-    def test_csv_round_trip(self, tmp_path):
-        m = np.array([[1.5, -2.25], [0.0, 3.0]], dtype=np.float32)
-        path = tmp_path / "m.csv"
-        save_matrix_csv(str(path), m)
-        assert np.array_equal(load_matrix_csv(str(path)), m)
