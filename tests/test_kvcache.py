@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,40 @@ def test_counts_csv_dump(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "col0,col1,col2"
     assert len(lines) == 3  # header + one row per mesh row
+
+
+def _fill_lines(append, width, height, capacity):
+    """Every report, grid and column order while filling one mesh past capacity."""
+    state = KvMeshState(width, height, capacity, chunk_bytes=4 * width + 6)
+    yield f"mesh {width}x{height} cap {capacity} {append.__name__}"
+    for t in range(capacity * height + 1):
+        token = (37 * t + 11) % 1009  # out of id order, so a reordering shows
+        try:
+            report = append(CFG, state, token)
+        except CapacityError as exc:
+            yield f"full at {t}: {exc}"
+            break
+        for s in report.steps:
+            c = s.comm
+            yield (f"{s.label}|{c.hops_critical}|{c.routing_stages_critical}|"
+                   f"{c.latency_cycles}|{c.bytes_moved}|{s.compute_cycles}|{int(s.overlap)}")
+        yield "meta " + " ".join(f"{k}={report.meta.get(k)}"
+                                 for k in ("spread", "tokens", "transfers"))
+        grid = state.counts_grid()
+        yield f"grid {grid.shape} {grid.tolist()}"
+        for x in range(width):
+            yield f"order {x} {state.token_order(x)}"
+
+
+# SHA-256 over _fill_lines for both append modes on square and non-square
+# meshes, as first recorded; a transposed grid or a column out of step shows.
+KV_FILL_SHA = "e74066e4eab3ea7c4bd025e5c1ee3e4d479c5eb27a986a6c78bc610f74cdab70"
+
+
+def test_fill_reports_grids_and_orders_are_pinned():
+    lines = [line
+             for width, height, capacity in ((1, 4, 3), (4, 1, 5), (5, 3, 4), (3, 5, 4),
+                                             (7, 2, 6), (16, 16, 3))
+             for append in (kv_append_shift, kv_append_concat)
+             for line in _fill_lines(append, width, height, capacity)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KV_FILL_SHA

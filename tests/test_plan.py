@@ -32,6 +32,78 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
 
 
+# The full notation dumps of both phases for SHAPE on 4x4, as first recorded.
+PREFILL_DUMP = """\
+prefill plan on 4x4 cores
+  x: BL_yE_x
+  wq: E_yH_x (pre-rotated)
+  wk: E_yH_x (pre-rotated)
+  wv: E_yH_x (pre-rotated)
+  wo: H_yE_x (pre-rotated)
+  win: E_yF_x (pre-rotated)
+  wout: F_yE_x (pre-rotated)
+  norm1: rmsnorm(x) -> xn
+  proj_q: dist_gemm(xn, wq) -> q
+  proj_k: dist_gemm(xn, wk) -> k
+  proj_v: dist_gemm(xn, wv) -> v
+  cache_kv: kv_append(k, v) -> kv
+  score_h0: dist_gemm_t(q, k) -> s0
+  probs_h0: softmax(s0) -> p0
+  attn_h0: dist_gemm(p0, v) -> a0
+  score_h1: dist_gemm_t(q, k) -> s1
+  probs_h1: softmax(s1) -> p1
+  attn_h1: dist_gemm(p1, v) -> a1
+  score_h2: dist_gemm_t(q, k) -> s2
+  probs_h2: softmax(s2) -> p2
+  attn_h2: dist_gemm(p2, v) -> a2
+  score_h3: dist_gemm_t(q, k) -> s3
+  probs_h3: softmax(s3) -> p3
+  attn_h3: dist_gemm(p3, v) -> a3
+  concat: concat_heads(a0, a1, a2, a3) -> attn
+  proj_o: dist_gemm(attn, wo) -> o
+  res1: residual_add(x, o) -> x1
+  norm2: rmsnorm(x1) -> x1n
+  ffn_in: dist_gemm(x1n, win) -> ffn
+  act: relu(ffn) -> ffn_r
+  ffn_out: dist_gemm(ffn_r, wout) -> ffn2
+  res2: residual_add(x1, ffn2) -> y"""
+
+DECODE_DUMP = """\
+decode plan on 4x4 cores
+  x: BE_yL^x
+  wq: E_yH_x
+  wk: E_yH_x
+  wv: E_yH_x
+  wo: H_yE_x
+  win: E_yF_x
+  wout: F_yE_x
+  norm1: rmsnorm(x) -> xn
+  proj_q: dist_gemv(xn, wq) -> q
+  proj_k: dist_gemv(xn, wk) -> k
+  proj_v: dist_gemv(xn, wv) -> v
+  cache_kv: kv_append(k, v) -> kv
+  score_h0: cache_gemv_qk(q, kv) -> s0
+  probs_h0: softmax(s0) -> p0
+  attn_h0: cache_gemv_pv(p0, kv) -> a0
+  score_h1: cache_gemv_qk(q, kv) -> s1
+  probs_h1: softmax(s1) -> p1
+  attn_h1: cache_gemv_pv(p1, kv) -> a1
+  score_h2: cache_gemv_qk(q, kv) -> s2
+  probs_h2: softmax(s2) -> p2
+  attn_h2: cache_gemv_pv(p2, kv) -> a2
+  score_h3: cache_gemv_qk(q, kv) -> s3
+  probs_h3: softmax(s3) -> p3
+  attn_h3: cache_gemv_pv(p3, kv) -> a3
+  concat: concat_heads(a0, a1, a2, a3) -> attn
+  proj_o: dist_gemv(attn, wo) -> o
+  res1: residual_add(x, o) -> x1
+  norm2: rmsnorm(x1) -> x1n
+  ffn_in: dist_gemv(x1n, win) -> ffn
+  act: relu(ffn) -> ffn_r
+  ffn_out: dist_gemv(ffn_r, wout) -> ffn2
+  res2: residual_add(x1, ffn2) -> y"""
+
+
 class TestShapes:
     def test_embed_consistency(self):
         with pytest.raises(ValueError):
@@ -81,9 +153,8 @@ class TestPlans:
         assert plan.grid == (1, 1)
 
     def test_notation_dump(self):
-        text = plan_prefill(CFG, SHAPE, 4).notation_dump()
-        assert "BL_yE_x" in text
-        assert "dist_gemm_t" in text
+        assert plan_prefill(CFG, SHAPE, 4).notation_dump() == PREFILL_DUMP
+        assert plan_decode(CFG, SHAPE, 4).notation_dump() == DECODE_DUMP
 
 
 class TestExecutePrefill:
