@@ -5,17 +5,13 @@ from .fabric import (
     CapacityError,
     ConfigError,
     CoreCoord,
-    IntegrityError,
     PlmrConfig,
     RoutePath,
     RoutingLedger,
     SimReport,
     StepCost,
-    Transfer,
     load_config,
-    manhattan_hops,
     save_config,
-    step_cost,
 )
 from .collectives import (
     KTree,
@@ -49,6 +45,5 @@ from .plan import (
     plan_prefill,
     transition,
 )
-from .tiles import Layout
 
 __version__ = "0.1.0"

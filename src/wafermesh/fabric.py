@@ -6,7 +6,7 @@ core) costs ``beta`` cycles. A pair of cores may install a preconfigured
 pass-through path (alpha-only) as long as every traversed core has a free
 routing-path slot; each core supports at most ``route_budget`` distinct paths.
 
-Everything here is integer arithmetic: identical configs and patterns yield
+Everything here is integer arithmetic: identical configs and inputs yield
 bit-identical costs across runs.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from enum import Enum
 
 ELEMENT_BYTES = 4  # 32-bit elements everywhere
 
@@ -31,10 +30,6 @@ class ConfigError(ValueError):
 
 class CapacityError(RuntimeError):
     """A per-core or mesh-wide memory budget was exceeded."""
-
-
-class IntegrityError(RuntimeError):
-    """Simulation state is inconsistent (missing tile, bad placement)."""
 
 
 @dataclass(frozen=True)
@@ -92,23 +87,10 @@ class CoreCoord:
         return f"({self.x},{self.y})"
 
 
-class PathKind(Enum):
-    PRECONFIGURED = "preconfigured"  # router pass-through, alpha per hop
-    RELAYED = "relayed"  # software forwarding, beta per relay core
-
-
 @dataclass(frozen=True)
 class RoutePath:
     src: CoreCoord
     dst: CoreCoord
-    kind: PathKind = PathKind.PRECONFIGURED
-
-
-def manhattan_hops(cfg: PlmrConfig, a: CoreCoord, b: CoreCoord) -> int:
-    """Hop count between two cores under XY dimension-ordered routing."""
-    cfg.check_coord(a)
-    cfg.check_coord(b)
-    return abs(a.x - b.x) + abs(a.y - b.y)
 
 
 def xy_route(cfg: PlmrConfig, a: CoreCoord, b: CoreCoord) -> list[CoreCoord]:
@@ -167,37 +149,6 @@ class RoutingLedger:
         return Admission(admitted=True)
 
 
-def install_path(ledger: RoutingLedger, path: RoutePath) -> Admission:
-    return ledger.install_path(path)
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """One point-to-point move of a tile-sized message within a step.
-
-    ``routing_stages`` defaults from the path kind: 0 for preconfigured
-    pass-through, hops-1 for a relayed message (one software forward per
-    intermediate core). Algorithms that re-send at every receiving core
-    (step-by-step broadcast) pass an explicit stage count.
-    """
-
-    src: CoreCoord
-    dst: CoreCoord
-    size_bytes: int
-    kind: PathKind = PathKind.PRECONFIGURED
-    routing_stages: int | None = None
-
-    def stages(self, hops: int) -> int:
-        if self.routing_stages is not None:
-            return self.routing_stages
-        if self.kind is PathKind.PRECONFIGURED:
-            return 0
-        return max(hops - 1, 0)
-
-
-CommPattern = list[Transfer]
-
-
 @dataclass(frozen=True)
 class StepCost:
     hops_critical: int
@@ -212,22 +163,6 @@ class StepCost:
     @staticmethod
     def of(cfg: PlmrConfig, hops: int, stages: int, nbytes: int = 0) -> "StepCost":
         return StepCost(hops, stages, cfg.alpha * hops + cfg.beta * stages, nbytes)
-
-
-def step_cost(cfg: PlmrConfig, pattern: CommPattern) -> StepCost:
-    """Critical-path cost of simultaneous transfers: max latency, not sum."""
-    if not pattern:
-        return StepCost.zero()
-    best_hops = best_stages = best_latency = 0
-    total_bytes = 0
-    for t in pattern:
-        hops = manhattan_hops(cfg, t.src, t.dst)
-        stages = t.stages(hops)
-        latency = cfg.alpha * hops + cfg.beta * stages
-        total_bytes += t.size_bytes
-        if latency > best_latency:
-            best_hops, best_stages, best_latency = hops, stages, latency
-    return StepCost(best_hops, best_stages, best_latency, total_bytes)
 
 
 @dataclass

@@ -22,7 +22,12 @@ from .fabric import CapacityError, PlmrConfig, SimReport, StepCost
 
 @dataclass
 class KvMeshState:
-    """Per-core ordered token chunks, one column per mesh column."""
+    """Per-core ordered token chunks on the mesh.
+
+    Every mesh column holds its own head-group slice of the same tokens in the
+    same order, so one column is stored: ``columns`` has ``width`` entries that
+    are all that one list, and ``width`` only multiplies the transfer cost.
+    """
 
     width: int
     height: int
@@ -32,8 +37,13 @@ class KvMeshState:
     columns: list[list[list[int]]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.columns:
-            self.columns = [[[] for _ in range(self.height)] for _ in range(self.width)]
+        column = self.columns[0] if self.columns else [[] for _ in range(self.height)]
+        if self.columns and (len(self.columns) != self.width or len(column) != self.height
+                             or any(c != column for c in self.columns)):
+            raise ValueError(
+                f"columns must be {self.width} identical columns of {self.height} cells"
+            )
+        self.columns = [column] * self.width
 
     @property
     def total_tokens(self) -> int:
@@ -47,21 +57,15 @@ class KvMeshState:
         return list(self.columns[x][y])
 
     def counts_grid(self) -> np.ndarray:
-        grid = np.zeros((self.height, self.width), dtype=int)
-        for x in range(self.width):
-            for y in range(self.height):
-                grid[y, x] = len(self.columns[x][y])
-        return grid
+        rows = np.array(self.row_counts(), dtype=int)
+        return np.repeat(rows[:, None], self.width, axis=1)
 
     def spread(self) -> int:
         counts = self.row_counts()
         return max(counts) - min(counts)
 
     def token_order(self, column: int = 0) -> list[int]:
-        out: list[int] = []
-        for y in range(self.height):
-            out.extend(self.columns[column][y])
-        return out
+        return [t for cell in self.columns[column] for t in cell]
 
 
 def kv_append_concat(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimReport:
@@ -71,15 +75,13 @@ def kv_append_concat(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimRepo
     the rest of the mesh sits empty.
     """
     report = SimReport(algorithm="kv_concat")
-    bottom = state.height - 1
-    for x in range(state.width):
-        if len(state.columns[x][bottom]) >= state.chunk_capacity:
-            raise CapacityError(
-                f"core ({x},{bottom}): {state.chunk_capacity} chunks stored, "
-                f"column capacity unused elsewhere"
-            )
-    for x in range(state.width):
-        state.columns[x][bottom].append(token)
+    bottom = state.columns[0][-1]
+    if len(bottom) >= state.chunk_capacity:
+        raise CapacityError(
+            f"core (0,{state.height - 1}): {state.chunk_capacity} chunks stored, "
+            f"column capacity unused elsewhere"
+        )
+    bottom.append(token)
     report.meta["spread"] = state.spread()
     report.meta["tokens"] = state.total_tokens
     return report
@@ -99,23 +101,22 @@ def kv_append_shift(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimRepor
     the chunk serialization.
     """
     report = SimReport(algorithm="kv_shift")
-    if state.total_tokens >= state.chunk_capacity * state.height:
+    total = state.total_tokens + 1
+    if total > state.chunk_capacity * state.height:
         raise CapacityError(
             f"mesh KV capacity exhausted: {state.chunk_capacity * state.height} "
             f"chunks per column"
         )
-    for x in range(state.width):
-        state.columns[x][state.height - 1].append(token)
+    column = state.columns[0]
+    column[-1].append(token)
 
-    target = _target_counts(state.total_tokens, state.height)
+    target = _target_counts(total, state.height)
     transfers = 0
     for y in range(state.height - 1, 0, -1):
         # A surplus row passes its oldest chunk up; the chunk is newer than
         # everything above it, preserving top-to-bottom token order.
-        if len(state.columns[0][y]) > target[y]:
-            for x in range(state.width):
-                moved = state.columns[x][y].pop(0)
-                state.columns[x][y - 1].append(moved)
+        if len(column[y]) > target[y]:
+            column[y - 1].append(column[y].pop(0))
             transfers += 1
     if transfers:
         words = -(-state.chunk_bytes // 4)
@@ -126,7 +127,7 @@ def kv_append_shift(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimRepor
             overlap=False,
         )
     report.meta["spread"] = state.spread()
-    report.meta["tokens"] = state.total_tokens
+    report.meta["tokens"] = total
     report.meta["transfers"] = transfers
     return report
 

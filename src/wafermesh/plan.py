@@ -34,7 +34,6 @@ from .fabric import (
 from .gemm import GemmProblem, dist_gemm_t, mesh_gemm
 from .gemv import GemvProblem, mesh_gemv
 from .kvcache import KvMeshState, kv_append_shift
-from .tiles import Axis, Layout, partitioned, replicated
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,13 @@ class PlanOp:
 
 @dataclass(frozen=True)
 class TensorPlan:
-    layout: Layout
+    # Each dimension letter followed by its mesh axis: "_x" partitioned along
+    # X, "^x" replicated along X. "E_yF_x" splits E over rows and F over columns.
+    layout: str
     variant: str = "aligned"  # "skewed": pre-rotated for the compute-shift loop
 
     def notation(self, batch_prefix: bool = False) -> str:
-        base = self.layout.notation()
-        return ("B" + base) if batch_prefix else base
+        return ("B" + self.layout) if batch_prefix else self.layout
 
 
 @dataclass
@@ -197,15 +197,14 @@ _PHASE_KERNELS = {
 
 
 def _plan_layer(cfg: PlmrConfig, shape: ModelShape, n: int, phase: str,
-                x_layout: Layout) -> LayerPlan:
+                x_layout: str) -> LayerPlan:
     _check_plan(cfg, shape, n, phase)
     proj, (score, k_in), (attn, v_in) = _PHASE_KERNELS[phase]
     tensors = {"x": TensorPlan(x_layout)}
     variant = "skewed" if phase == "prefill" else "aligned"
     for name, rows, cols in [("wq", "E", "H"), ("wk", "E", "H"), ("wv", "E", "H"),
                              ("wo", "H", "E"), ("win", "E", "F"), ("wout", "F", "E")]:
-        tensors[name] = TensorPlan(
-            Layout((partitioned(rows, Axis.Y), partitioned(cols, Axis.X))), variant)
+        tensors[name] = TensorPlan(f"{rows}_y{cols}_x", variant)
 
     ops = [
         PlanOp("rmsnorm", "norm1", ("x",), "xn"),
@@ -232,13 +231,11 @@ def _plan_layer(cfg: PlmrConfig, shape: ModelShape, n: int, phase: str,
 
 
 def plan_prefill(cfg: PlmrConfig, shape: ModelShape, n: int) -> LayerPlan:
-    return _plan_layer(cfg, shape, n, "prefill",
-                       Layout((partitioned("L", Axis.Y), partitioned("E", Axis.X))))
+    return _plan_layer(cfg, shape, n, "prefill", "L_yE_x")
 
 
 def plan_decode(cfg: PlmrConfig, shape: ModelShape, n: int) -> LayerPlan:
-    return _plan_layer(cfg, shape, n, "decode",
-                       Layout((partitioned("E", Axis.Y), replicated("L", Axis.X))))
+    return _plan_layer(cfg, shape, n, "decode", "E_yL^x")
 
 
 class KvValueStore:

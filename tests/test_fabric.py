@@ -1,19 +1,13 @@
 import pytest
 
 from wafermesh.fabric import (
-    Admission,
     ConfigError,
     CoreCoord,
-    PathKind,
     PlmrConfig,
     RoutePath,
     RoutingLedger,
-    StepCost,
-    Transfer,
     load_config,
-    manhattan_hops,
     save_config,
-    step_cost,
     xy_route,
 )
 
@@ -62,32 +56,6 @@ class TestConfig:
             load_config(str(path))
 
 
-class TestManhattan:
-    def test_identity(self):
-        assert manhattan_hops(cfg(), CoreCoord(0, 0), CoreCoord(0, 0)) == 0
-
-    def test_diagonal_corner_worst_case(self):
-        c = cfg(width=6, height=9)
-        assert manhattan_hops(c, CoreCoord(0, 0), CoreCoord(5, 8)) == 5 + 8
-
-    def test_hand_sum(self):
-        assert manhattan_hops(cfg(), CoreCoord(2, 3), CoreCoord(5, 1)) == 5
-
-    def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            manhattan_hops(cfg(width=4, height=4), CoreCoord(0, 0), CoreCoord(4, 0))
-
-    def test_hop_bound_exact(self):
-        # XY routing maximum is width+height-2, tighter than the inclusive bound.
-        c = cfg(width=4, height=3)
-        worst = max(
-            manhattan_hops(c, CoreCoord(x1, y1), CoreCoord(x2, y2))
-            for x1 in range(4) for y1 in range(3)
-            for x2 in range(4) for y2 in range(3)
-        )
-        assert worst == 4 + 3 - 2
-
-
 class TestXYRoute:
     def test_x_then_y(self):
         route = xy_route(cfg(), CoreCoord(0, 0), CoreCoord(2, 2))
@@ -95,9 +63,19 @@ class TestXYRoute:
                          CoreCoord(2, 1), CoreCoord(2, 2)]
 
     def test_length_matches_hops(self):
-        c = cfg()
         a, b = CoreCoord(5, 1), CoreCoord(2, 6)
-        assert len(xy_route(c, a, b)) == manhattan_hops(c, a, b) + 1
+        assert len(xy_route(cfg(), a, b)) == abs(a.x - b.x) + abs(a.y - b.y) + 1
+
+    def test_out_of_range(self):
+        with pytest.raises(ConfigError):
+            xy_route(cfg(width=4, height=4), CoreCoord(0, 0), CoreCoord(4, 0))
+
+    def test_hop_bound_exact(self):
+        # XY routing maximum is width+height-2, tighter than the inclusive bound.
+        c = cfg(width=4, height=3)
+        cores = [CoreCoord(x, y) for x in range(4) for y in range(3)]
+        worst = max(len(xy_route(c, a, b)) - 1 for a in cores for b in cores)
+        assert worst == 4 + 3 - 2
 
 
 class TestLedger:
@@ -127,52 +105,3 @@ class TestLedger:
                 admitted += 1
         assert admitted == 32
         assert ledger.count(hub) == 32
-
-
-class TestStepCost:
-    def test_empty_pattern_zero(self):
-        assert step_cost(cfg(), []) == StepCost.zero()
-
-    def test_single_preconfigured_hop(self):
-        pattern = [Transfer(CoreCoord(0, 0), CoreCoord(1, 0), 4)]
-        got = step_cost(cfg(), pattern)
-        assert (got.hops_critical, got.routing_stages_critical, got.latency_cycles) == (1, 0, 1)
-
-    def test_relayed_full_path(self):
-        n = 5
-        pattern = [Transfer(CoreCoord(0, 0), CoreCoord(n, 0), 4, kind=PathKind.RELAYED)]
-        got = step_cost(cfg(), pattern)
-        assert got.hops_critical == n
-        assert got.routing_stages_critical == n - 1
-        assert got.latency_cycles == 1 * n + 3 * (n - 1)
-
-    def test_parallel_transfers_take_max(self):
-        pattern = [
-            Transfer(CoreCoord(0, 0), CoreCoord(2, 0), 4),
-            Transfer(CoreCoord(0, 1), CoreCoord(2, 1), 4),
-        ]
-        got = step_cost(cfg(), pattern)
-        assert got.latency_cycles == 2
-        assert got.bytes_moved == 8
-
-    def test_explicit_stage_override(self):
-        pattern = [Transfer(CoreCoord(0, 0), CoreCoord(3, 0), 4,
-                            kind=PathKind.RELAYED, routing_stages=3)]
-        got = step_cost(cfg(), pattern)
-        assert got.routing_stages_critical == 3
-        assert got.latency_cycles == 3 + 9
-
-    def test_alpha_linearity(self):
-        pattern = [
-            Transfer(CoreCoord(0, 0), CoreCoord(4, 2), 4, kind=PathKind.RELAYED),
-            Transfer(CoreCoord(1, 1), CoreCoord(1, 5), 4),
-        ]
-        for scale in (2, 5):
-            base = step_cost(cfg(), pattern)
-            scaled = step_cost(cfg(alpha=scale, beta=3, enforce_latency_order=False), pattern)
-            hop_component = base.latency_cycles - 3 * base.routing_stages_critical
-            assert scaled.latency_cycles - 3 * scaled.routing_stages_critical == scale * hop_component
-
-    def test_determinism(self):
-        pattern = [Transfer(CoreCoord(i, 0), CoreCoord(0, i), 4) for i in range(1, 6)]
-        assert step_cost(cfg(), pattern) == step_cost(cfg(), pattern)

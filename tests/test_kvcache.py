@@ -179,3 +179,27 @@ def test_fill_reports_grids_and_orders_are_pinned():
              for append in (kv_append_shift, kv_append_concat)
              for line in _fill_lines(append, width, height, capacity)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KV_FILL_SHA
+
+
+class TestOneStoredColumn:
+    def test_every_column_is_the_stored_column(self):
+        state = KvMeshState(64, 64, 4, 64)
+        for t in range(100):
+            kv_append_shift(CFG, state, t)
+        assert len(state.columns) == 64
+        assert all(column is state.columns[0] for column in state.columns)
+
+    def test_equal_columns_argument_is_stored_once(self):
+        state = KvMeshState(2, 2, 4, 8, columns=[[[1], [2]], [[1], [2]]])
+        assert state.columns[1] is state.columns[0]
+        assert state.token_order(1) == [1, 2]
+
+    @pytest.mark.parametrize("columns", [
+        [[[1], [2]], [[1], [3]]],  # entries differ
+        [[[1], [2]]],  # one column for a width of 2
+        [[[1], [2]], [[1], [2]], [[1], [2]]],  # three columns
+        [[[1]], [[1]]],  # one cell for a height of 2
+    ], ids=["differ", "short", "long", "wrong_height"])
+    def test_bad_columns_argument_is_rejected(self, columns):
+        with pytest.raises(ValueError, match="2 identical columns of 2 cells"):
+            KvMeshState(2, 2, 4, 8, columns=columns)

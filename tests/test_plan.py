@@ -118,7 +118,7 @@ class TestPlans:
     def test_prefill_layouts(self):
         plan = plan_prefill(CFG, SHAPE, 4)
         assert plan.tensors["x"].notation(batch_prefix=True) == "BL_yE_x"
-        assert plan.tensors["win"].layout.notation() == "E_yF_x"
+        assert plan.tensors["win"].notation() == "E_yF_x"
         assert all(tp.variant == "skewed" for name, tp in plan.tensors.items() if name != "x")
 
     def test_decode_layouts(self):
