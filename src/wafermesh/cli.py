@@ -125,6 +125,14 @@ def _int_fixture(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.integers(-4, 5, size=(rows, cols)).astype(np.float32)
 
 
+def _int_param(scenario: Scenario, key: str, default: int) -> int:
+    """Integer workload parameter ``key``; anything but an integer >= 1 is rejected."""
+    value = str(scenario.params.get(key, default)).strip()
+    if not value.isdecimal() or int(value) < 1:
+        raise ConfigError(f"parameter {key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _check_algos(algos: list[str], known: dict) -> None:
     unknown = [a for a in algos if a not in known]
     if unknown:
@@ -133,7 +141,7 @@ def _check_algos(algos: list[str], known: dict) -> None:
 
 def run_gemm(scenario: Scenario) -> tuple[list[dict], bool]:
     rows, ok = [], True
-    size = int(scenario.params.get("size", 16))
+    size = _int_param(scenario, "size", 16)
     algos = scenario.algos or list(GEMM_ALGOS)
     _check_algos(algos, GEMM_ALGOS)
     for n in scenario.grids:
@@ -155,8 +163,8 @@ def run_gemm(scenario: Scenario) -> tuple[list[dict], bool]:
 
 def run_gemv(scenario: Scenario) -> tuple[list[dict], bool]:
     rows, ok = [], True
-    size = int(scenario.params.get("size", 16))
-    k = int(scenario.params.get("k", 2))
+    size = _int_param(scenario, "size", 16)
+    k = _int_param(scenario, "k", 2)
     algos = scenario.algos or list(GEMV_ALGOS)
     _check_algos(algos, GEMV_ALGOS)
     for n in scenario.grids:
@@ -179,9 +187,9 @@ def run_gemv(scenario: Scenario) -> tuple[list[dict], bool]:
 
 def run_kvcache(scenario: Scenario, out_dir: Path) -> tuple[list[dict], bool]:
     rows, ok = [], True
-    tokens = int(scenario.params.get("tokens", 256))
-    capacity = int(scenario.params.get("capacity", max(1, -(-tokens // scenario.grids[0]) + 1)))
-    chunk_bytes = int(scenario.params.get("chunk_bytes", 64))
+    tokens = _int_param(scenario, "tokens", 256)
+    capacity = _int_param(scenario, "capacity", -(-tokens // scenario.grids[0]) + 1)
+    chunk_bytes = _int_param(scenario, "chunk_bytes", 64)
     n = scenario.grids[0]
 
     shift_state = KvMeshState(n, n, capacity, chunk_bytes)
@@ -226,23 +234,23 @@ def run_kvcache(scenario: Scenario, out_dir: Path) -> tuple[list[dict], bool]:
 
 
 def _scenario_model(scenario: Scenario):
-    p = scenario.params
+    embed, heads = _int_param(scenario, "embed", 32), _int_param(scenario, "heads", 4)
     shape = ModelShape(
-        embed=int(p.get("embed", 32)),
-        heads=int(p.get("heads", 4)),
-        head_dim=int(p.get("head_dim", int(p.get("embed", 32)) // int(p.get("heads", 4)))),
-        ffn=int(p.get("ffn", 64)),
-        seq=int(p.get("seq", 16)),
+        embed=embed,
+        heads=heads,
+        head_dim=_int_param(scenario, "head_dim", max(embed // heads, 1)),
+        ffn=_int_param(scenario, "ffn", 64),
+        seq=_int_param(scenario, "seq", 16),
     )
-    return make_toy_model(shape, vocab=int(p.get("vocab", 64)),
-                          n_layers=int(p.get("layers", 2)), seed=scenario.seed)
+    return make_toy_model(shape, vocab=_int_param(scenario, "vocab", 64),
+                          n_layers=_int_param(scenario, "layers", 2), seed=scenario.seed)
 
 
 def run_layer(scenario: Scenario, out_dir: Path) -> tuple[list[dict], bool]:
     rows, ok = [], True
     model = _scenario_model(scenario)
     seq = model.shape.seq
-    out_len = int(scenario.params.get("out", 8))
+    out_len = _int_param(scenario, "out", 8)
     prefill_n = scenario.grids[0]
     decode_n = scenario.grids[-1]
     prompt = [i % model.vocab for i in range(seq)]
@@ -281,7 +289,7 @@ def run_autotune(scenario: Scenario) -> tuple[list[dict], bool]:
     rows = []
     model = _scenario_model(scenario)
     seq = model.shape.seq
-    out_len = int(scenario.params.get("out", 8))
+    out_len = _int_param(scenario, "out", 8)
     result = autotune(scenario.cfg, model, seq, out_len, scenario.grids)
     for np_, nd, cycles in result.entries:
         rep = SimReport(algorithm="autotune_entry")
@@ -347,7 +355,7 @@ def _parse_grid(text: str) -> list[int]:
         w, sep, h = part.partition("x")
         if sep and w != h:
             raise ConfigError(f"square grids only, got {part}")
-        if not w.isdigit() or int(w) < 1:
+        if not w.isdecimal() or int(w) < 1:
             raise ConfigError(f"grid side must be a positive integer, got {part!r}")
         grids.append(int(w))
     return grids

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fabric import ELEMENT_BYTES, PlmrConfig, SimReport, StepCost
+from .fabric import ELEMENT_BYTES, PlmrConfig, SimReport, StepCost, max_cover
 
 
 def interleave(index: int, n: int) -> tuple[int, int]:
@@ -196,18 +196,6 @@ class KTree:
     def effective_phases(self) -> int:
         return len(self.phases)
 
-    def paths_per_core(self) -> dict[int, int]:
-        """Routing-path slots per position: one shared segment per phase joined."""
-        counts: dict[int, int] = {}
-        for groups in self.phases:
-            for g in groups:
-                if len(g.members) < 2:
-                    continue
-                lo, hi = min(g.members), max(g.members)
-                for pos in range(lo, hi + 1):
-                    counts[pos] = counts.get(pos, 0) + 1
-        return counts
-
 
 def group_width(n: int, k: int) -> int:
     """Smallest g with g**k >= n, i.e. ceil(n^(1/k)) computed exactly."""
@@ -273,7 +261,9 @@ def _ktree_cost(cfg: PlmrConfig, n: int, tile_bytes: int, k: int,
     if broadcast:
         steps.append(("broadcast", StepCost.of(cfg, n, 0, (n - 1) * tile_bytes)))
 
-    paths = max(tree.paths_per_core().values(), default=0) + (1 if broadcast else 0)
+    # One shared path segment per group, from its first member to its last.
+    paths = max_cover((g.members[0], g.members[-1]) for groups in tree.phases for g in groups)
+    paths += 1 if broadcast else 0
     violations = ()
     if paths > cfg.route_budget:
         violations = (f"R: {paths} paths/core > budget {cfg.route_budget}",)

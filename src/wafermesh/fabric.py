@@ -13,6 +13,7 @@ bit-identical costs across runs.
 from __future__ import annotations
 
 import configparser
+from collections import Counter
 from dataclasses import dataclass, field
 
 ELEMENT_BYTES = 4  # 32-bit elements everywhere
@@ -110,6 +111,13 @@ def xy_route(cfg: PlmrConfig, a: CoreCoord, b: CoreCoord) -> list[CoreCoord]:
     return route
 
 
+def max_cover(spans) -> int:
+    """Most ``(lo, hi)`` line spans over one position; a span with lo == hi covers none."""
+    cover = Counter(p for lo, hi in spans if lo != hi
+                    for p in range(min(lo, hi), max(lo, hi) + 1))
+    return max(cover.values(), default=0)
+
+
 @dataclass
 class Admission:
     admitted: bool
@@ -121,7 +129,10 @@ class Admission:
 
 
 class RoutingLedger:
-    """Per-core count of installed routing paths; denial is a result, not an error."""
+    """Per-core count of installed routing paths; denial is a result, not an error.
+
+    Kernels count paths in closed form; tests check those counts against this.
+    """
 
     def __init__(self, cfg: PlmrConfig):
         self.cfg = cfg

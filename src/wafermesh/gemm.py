@@ -16,8 +16,9 @@ tile grid) and differ in how tile movement maps onto the physical mesh:
 Alignment (Cannon skew) runs as repeated ring shifts and is reported under
 ``align*`` step labels, separately from the ``step*`` compute-shift loop.
 
-Ring hops and routing-path counts depend only on (cfg, n, embedding); they
-are computed once per key and memoized per process in bounded caches.
+Ring hops and routing-path counts depend only on (cfg, n, embedding) and the
+ring kind; they are computed in closed form once per key and memoized per
+process in a bounded cache.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ from .collectives import build_ring
 from .fabric import (
     ELEMENT_BYTES,
     CapacityError,
-    CoreCoord,
     PlmrConfig,
-    RoutePath,
-    RoutingLedger,
     SimReport,
     StepCost,
+    max_cover,
 )
 from .tiles import ShapeError, pad_matrix
 
@@ -121,66 +120,24 @@ def _skew(a4: np.ndarray, b4: np.ndarray) -> None:
         b4[:, i] = np.roll(b4[:, i], n - i, axis=0)
 
 
-def _ring_hops(n: int, emb: MeshEmbedding | None, axis: str) -> int:
-    """Critical physical distance of one interleaved ring shift."""
-    if n == 1:
-        return 0
-    if n == 2:
-        return 1
-    ring = build_ring(n)
-    if emb is None:
-        return ring.max_distance()
-    proj = emb.phys_x if axis == "x" else emb.phys_y
-    return max(abs(proj(i) - proj(s)) for i, s in enumerate(ring.send))
-
-
-def _install_ring_paths(cfg: PlmrConfig, ledger: RoutingLedger, n: int,
-                        emb: MeshEmbedding | None) -> None:
-    """Install every row's X-ring and column's Y-ring send path."""
-    if n < 2:
-        return
-    if n == 2:
-        sends = [1, 0]
-    else:
-        sends = list(build_ring(n).send)
-    px = (lambda i: emb.phys_x(i)) if emb else (lambda i: i)
-    py = (lambda i: emb.phys_y(i)) if emb else (lambda i: i)
-    for fixed in range(n):
-        for i, s in enumerate(sends):
-            if px(i) != px(s):  # X-ring within row `fixed`
-                ledger.install_path(RoutePath(CoreCoord(px(i), py(fixed)),
-                                              CoreCoord(px(s), py(fixed))))
-            if py(i) != py(s):  # Y-ring within column `fixed`
-                ledger.install_path(RoutePath(CoreCoord(px(fixed), py(i)),
-                                              CoreCoord(px(fixed), py(s))))
-
-
-def _install_cannon_paths(cfg: PlmrConfig, ledger: RoutingLedger, n: int) -> None:
-    """Unit-shift sends plus the head-to-tail wrap path per row and column."""
-    if n < 2:
-        return
-    for fixed in range(n):
-        for i in range(n - 1):
-            ledger.install_path(RoutePath(CoreCoord(i, fixed), CoreCoord(i + 1, fixed)))
-            ledger.install_path(RoutePath(CoreCoord(fixed, i), CoreCoord(fixed, i + 1)))
-        ledger.install_path(RoutePath(CoreCoord(n - 1, fixed), CoreCoord(0, fixed)))
-        ledger.install_path(RoutePath(CoreCoord(fixed, n - 1), CoreCoord(fixed, 0)))
-
-
 @functools.lru_cache(maxsize=256)
-def _ring_routing(cfg: PlmrConfig, n: int,
-                  embedding: MeshEmbedding | None) -> tuple[int, int, int]:
-    """(X hops, Y hops, max paths per core) of the interleaved row/column rings."""
-    ledger = RoutingLedger(cfg)
-    _install_ring_paths(cfg, ledger, n, embedding)
-    return _ring_hops(n, embedding, "x"), _ring_hops(n, embedding, "y"), ledger.max_count()
+def _ring_routing(cfg: PlmrConfig, n: int, embedding: MeshEmbedding | None,
+                  interleaved: bool) -> tuple[int, int, int]:
+    """(X hops, Y hops, max paths per core) of the row and column shift rings.
 
-
-@functools.lru_cache(maxsize=256)
-def _cannon_max_paths(cfg: PlmrConfig, n: int) -> int:
-    ledger = RoutingLedger(cfg)
-    _install_cannon_paths(cfg, ledger, n)
-    return ledger.max_count()
+    Position i sends along its row and its column to the interleaved ring's
+    ``send[i]`` (n >= 3), else to (i + 1) % n. A core's path demand is the rows
+    it hosts times the X cover plus the columns it hosts times the Y cover.
+    Paths are admitted only where every core has a free slot, so the count is
+    min(demand, budget): a denied path means a full core that demanded more.
+    """
+    send = build_ring(n).send if interleaved and n >= 3 else [(i + 1) % n for i in range(n)]
+    emb = embedding or MeshEmbedding(n, n, n)
+    xs = [(emb.phys_x(i), emb.phys_x(s)) for i, s in enumerate(send)]
+    ys = [(emb.phys_y(i), emb.phys_y(s)) for i, s in enumerate(send)]
+    demand = n // emb.phys_h * max_cover(xs) + n // emb.phys_w * max_cover(ys)
+    hop_x, hop_y = (max(abs(a - b) for a, b in pairs) for pairs in (xs, ys))
+    return hop_x, hop_y, min(demand, cfg.route_budget)
 
 
 def _tile_bytes(t4: np.ndarray) -> int:
@@ -235,13 +192,9 @@ def _shift_loop(cfg: PlmrConfig, problem: GemmProblem, name: str, *,
     hosted = embedding.tiles_per_core if embedding else 1
     _check_gemm_budget(cfg, report, 2 * ab + 2 * bb + cb, True, hosted)
 
-    if interleaved:
-        hop_x, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, embedding)
-        if n == 2:
-            report.notes.append("fallback: neighbor exchange ring (n=2)")
-    else:
-        hop_x = hop_y = n - 1  # head-to-tail wrap is the critical transfer
-        report.max_paths_per_core = _cannon_max_paths(cfg, n)
+    hop_x, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, embedding, interleaved)
+    if interleaved and n == 2:
+        report.notes.append("fallback: neighbor exchange ring (n=2)")
 
     if skip_alignment:
         report.notes.append("alignment skipped (validation hook)")
@@ -371,7 +324,7 @@ def dist_gemm_t(cfg: PlmrConfig, problem: GemmProblem) -> tuple[np.ndarray, SimR
     report = SimReport(algorithm="dist_gemm_t", meta={"n": n})
     _check_gemm_budget(cfg, report, 2 * ab + 2 * bb + cb, raise_on_violation=True)
 
-    _, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, None)
+    _, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, None, True)
     if n == 2:
         report.notes.append("fallback: neighbor exchange ring (n=2)")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -67,6 +68,14 @@ class KvMeshState:
     def token_order(self, column: int = 0) -> list[int]:
         return [t for cell in self.columns[column] for t in cell]
 
+    def place(self, tokens: list[int]) -> None:
+        """Fill an empty state as in-order ``kv_append_shift`` calls would:
+        the token order cut into rows of ``_target_counts`` sizes."""
+        _check_shift_capacity(self, len(tokens))
+        cells = iter(tokens)
+        self.columns[0][:] = [list(islice(cells, c))
+                              for c in _target_counts(len(tokens), self.height)]
+
 
 def kv_append_concat(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimReport:
     """Concatenate the new chunk onto the bottom-row core of each column.
@@ -93,6 +102,12 @@ def _target_counts(total: int, height: int) -> list[int]:
     return [base + (1 if y >= height - extra else 0) for y in range(height)]
 
 
+def _check_shift_capacity(state: KvMeshState, total: int) -> None:
+    capacity = state.chunk_capacity * state.height
+    if total > capacity:
+        raise CapacityError(f"mesh KV capacity exhausted: {capacity} chunks per column")
+
+
 def kv_append_shift(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimReport:
     """Insert at the bottom row, then shift oldest chunks upward to rebalance.
 
@@ -102,11 +117,7 @@ def kv_append_shift(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimRepor
     """
     report = SimReport(algorithm="kv_shift")
     total = state.total_tokens + 1
-    if total > state.chunk_capacity * state.height:
-        raise CapacityError(
-            f"mesh KV capacity exhausted: {state.chunk_capacity * state.height} "
-            f"chunks per column"
-        )
+    _check_shift_capacity(state, total)
     column = state.columns[0]
     column[-1].append(token)
 

@@ -27,6 +27,7 @@ from .collectives import ktree_allreduce, ktree_cost
 from .fabric import (
     ELEMENT_BYTES,
     CapacityError,
+    ConfigError,
     PlmrConfig,
     SimReport,
     StepCost,
@@ -47,9 +48,9 @@ class ModelShape:
 
     def __post_init__(self):
         if min(self.embed, self.heads, self.head_dim, self.ffn, self.seq, self.batch) < 1:
-            raise ValueError("all model dimensions must be positive")
+            raise ConfigError("all model dimensions must be positive")
         if self.embed != self.heads * self.head_dim:
-            raise ValueError(
+            raise ConfigError(
                 f"embed ({self.embed}) != heads*head_dim ({self.heads}*{self.head_dim})"
             )
 
@@ -475,8 +476,7 @@ def transition(cfg: PlmrConfig, model: ToyModel, prefill_plan: LayerPlan,
         new_states = []
         for state in kv_states:
             rebuilt = new_kv_state(model.shape, decode_plan.n, max_tokens)
-            for t in state.token_order():
-                kv_append_shift(cfg, rebuilt, t)
+            rebuilt.place(state.token_order())
             new_states.append(rebuilt)
             moved += state.total_tokens * state.width * state.chunk_bytes
 
@@ -518,6 +518,8 @@ def generate_dist(cfg: PlmrConfig, model: ToyModel, prompt: list[int], out_len: 
                   prefill_n: int, decode_n: int, k: int = 2
                   ) -> tuple[list[int], list[np.ndarray], RunReport]:
     """Prefill the prompt, transition, then greedy-decode out_len tokens."""
+    if out_len < 1:
+        raise ConfigError(f"out_len must be >= 1, got {out_len}")
     shape = ModelShape(model.shape.embed, model.shape.heads, model.shape.head_dim,
                        model.shape.ffn, seq=len(prompt), batch=model.shape.batch)
     pplan = plan_prefill(cfg, shape, prefill_n)
@@ -589,6 +591,8 @@ def autotune(cfg: PlmrConfig, model: ToyModel, prompt_len: int, out_len: int,
     """
     if not candidates:
         raise ValueError("candidate grid list is empty")
+    if out_len < 1:
+        raise ConfigError(f"out_len must be >= 1, got {out_len}")
     prompt = [i % model.vocab for i in range(prompt_len)]
     shape = ModelShape(model.shape.embed, model.shape.heads, model.shape.head_dim,
                        model.shape.ffn, seq=prompt_len, batch=model.shape.batch)

@@ -186,10 +186,19 @@ class TestMainErrors:
         (["gemm", "--grid", "0"], "positive integer"),
         (["gemm", "--grid", "four"], "positive integer"),
         (["gemm", "--grid", "2", "--param", "size=256", "--algo", "mesh"], "exceeds budget"),
+        (["kvcache", "--param", "tokens=abc"], "tokens must be an integer >= 1, got 'abc'"),
+        (["kvcache", "--param", "tokens=-5"], "tokens must be an integer >= 1, got '-5'"),
+        (["kvcache", "--param", "chunk_bytes=0"], "chunk_bytes must be an integer >= 1"),
+        (["gemm", "--param", "size=0"], "size must be an integer >= 1, got '0'"),
+        (["gemv", "--param", "k=0"], "k must be an integer >= 1, got '0'"),
+        (["layer", "--param", "heads=3"], "embed (32) != heads*head_dim (3*10)"),
+        (["autotune", "--param", "seq=0"], "seq must be an integer >= 1, got '0'"),
+        (["layer", "--param", "out=0"], "out must be an integer >= 1, got '0'"),
+        (["gemm", "--grid", "\u00b2"], "positive integer"),
     ])
     def test_bad_input_is_one_line_without_traceback(self, tmp_path, capsys, argv, cause):
         rc = main(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc != 0
-        assert err.count("\n") == 1 and err.startswith("wafermesh gemm: error: ")
+        assert err.count("\n") == 1 and err.startswith(f"wafermesh {argv[0]}: error: ")
         assert cause in err and "Traceback" not in err

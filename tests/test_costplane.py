@@ -3,6 +3,8 @@
 The SHA-256 pins below were generated with the implementation that derived
 every cost by running numerics on real tiles and walking a RoutingLedger per
 call; the memoized cost functions must reproduce those reports bit for bit.
+The closed-form ring and Cannon path counts are also checked against a
+RoutingLedger that installs every path one by one.
 """
 
 import hashlib
@@ -11,8 +13,8 @@ import numpy as np
 import pytest
 
 from wafermesh import collectives, fabric, gemm, gemv, kvcache, plan
-from wafermesh.collectives import ktree_allreduce, ktree_cost
-from wafermesh.fabric import ELEMENT_BYTES, PlmrConfig
+from wafermesh.collectives import build_ring, ktree_allreduce, ktree_cost
+from wafermesh.fabric import ELEMENT_BYTES, CoreCoord, PlmrConfig, RoutePath, RoutingLedger
 from wafermesh.gemm import GemmProblem, cannon_gemm, embed_nonsquare, mesh_gemm
 
 # route_budget=3 makes k=3 with broadcast (4 paths/core) an R violation.
@@ -92,6 +94,63 @@ def test_embedded_ring_paths_are_pinned():
     assert sha(lines) == EMBED_SHA
 
 
+def _ledger_ring_paths(cfg, n, emb=None):
+    """Oracle: install every row's X-ring and column's Y-ring send path."""
+    ledger = RoutingLedger(cfg)
+    sends = list(build_ring(n).send) if n >= 3 else [1, 0] if n == 2 else []
+    px = emb.phys_x if emb else (lambda i: i)
+    py = emb.phys_y if emb else (lambda i: i)
+    for fixed in range(n):
+        for i, s in enumerate(sends):
+            if px(i) != px(s):
+                ledger.install_path(RoutePath(CoreCoord(px(i), py(fixed)),
+                                              CoreCoord(px(s), py(fixed))))
+            if py(i) != py(s):
+                ledger.install_path(RoutePath(CoreCoord(px(fixed), py(i)),
+                                              CoreCoord(px(fixed), py(s))))
+    return ledger.max_count()
+
+
+def _ledger_cannon_paths(cfg, n):
+    """Oracle: unit-shift sends plus the head-to-tail wrap per row and column."""
+    ledger = RoutingLedger(cfg)
+    if n < 2:
+        return 0
+    for fixed in range(n):
+        for i in range(n - 1):
+            ledger.install_path(RoutePath(CoreCoord(i, fixed), CoreCoord(i + 1, fixed)))
+            ledger.install_path(RoutePath(CoreCoord(fixed, i), CoreCoord(fixed, i + 1)))
+        ledger.install_path(RoutePath(CoreCoord(n - 1, fixed), CoreCoord(0, fixed)))
+        ledger.install_path(RoutePath(CoreCoord(fixed, n - 1), CoreCoord(fixed, 0)))
+    return ledger.max_count()
+
+
+ORACLE_BUDGETS = (3, 4, 5, 6, 7, 8, 32)
+
+
+def test_ring_and_cannon_paths_match_a_ledger_replay():
+    for budget in ORACLE_BUDGETS:
+        cfg = PlmrConfig(width=24, height=24, route_budget=budget)
+        for n in range(1, 25):
+            ones = np.ones((n, n), np.float32)
+            for fn, oracle in ((mesh_gemm, _ledger_ring_paths),
+                               (cannon_gemm, _ledger_cannon_paths)):
+                _, report = fn(cfg, GemmProblem(ones, ones, n))
+                assert report.max_paths_per_core == oracle(cfg, n), (budget, fn.__name__, n)
+
+
+def test_embedded_ring_paths_match_a_ledger_replay():
+    for budget in ORACLE_BUDGETS[:-1]:
+        cfg = PlmrConfig(width=8, height=8, route_budget=budget, mem_per_core=1 << 20)
+        for nh in range(1, 9):
+            for nw in range(1, 9):
+                emb = embed_nonsquare(nh, nw)
+                ones = np.ones((emb.side, emb.side), np.float32)
+                _, report = mesh_gemm(cfg, GemmProblem(ones, ones, emb.side), embedding=emb)
+                assert report.max_paths_per_core == _ledger_ring_paths(cfg, emb.side, emb), \
+                    (budget, nh, nw)
+
+
 def test_mutating_a_report_does_not_reach_the_cache():
     cfg = PlmrConfig(width=8, height=8, route_budget=3)
     before = list(report_lines(ktree_cost(cfg, 27, 12, k=3, broadcast=True)[0]))
@@ -126,22 +185,26 @@ def test_ktree_cost_rejects_empty_group():
 
 
 def test_every_cache_is_bounded():
-    caches = [obj for mod in (collectives, fabric, gemm, gemv, kvcache, plan)
-              for obj in vars(mod).values() if hasattr(obj, "cache_info")]
-    assert len(caches) >= 4  # k-tree grouping and cost, ring routing, Cannon paths
-    for cache in caches:
+    caches = {name: obj for mod in (collectives, fabric, gemm, gemv, kvcache, plan)
+              for name, obj in vars(mod).items() if hasattr(obj, "cache_info")}
+    assert set(caches) == {"build_ktree", "_ktree_cost", "_ring_routing"}
+    for cache in caches.values():
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024, cache
 
 
-def test_routing_memo_skips_the_ledger_when_warm(monkeypatch):
-    cfg = PlmrConfig(width=16, height=16)
-    ones = np.ones((16, 16), np.float32)
-    first = [fn(cfg, GemmProblem(ones, ones, 16))[1] for fn in (mesh_gemm, cannon_gemm)]
+def test_routing_counts_install_no_ledger_path(monkeypatch):
+    gemm._ring_routing.cache_clear()
     calls = []
     original = fabric.RoutingLedger.install_path
     monkeypatch.setattr(fabric.RoutingLedger, "install_path",
                         lambda self, path: calls.append(path) or original(self, path))
-    again = [fn(cfg, GemmProblem(ones, ones, 16))[1] for fn in (mesh_gemm, cannon_gemm)]
+    cfg = PlmrConfig(width=16, height=16, mem_per_core=1 << 20)
+    ones = np.ones((16, 16), np.float32)
+    for fn in (mesh_gemm, cannon_gemm, gemm.dist_gemm_t):
+        fn(cfg, GemmProblem(ones, ones, 16))
+    emb = embed_nonsquare(4, 6)
+    ones = np.ones((emb.side, emb.side), np.float32)
+    _, report = mesh_gemm(cfg, GemmProblem(ones, ones, emb.side), embedding=emb)
+    assert report.max_paths_per_core > 0
     assert calls == []
-    assert [list(report_lines(r)) for r in again] == [list(report_lines(r)) for r in first]

@@ -203,3 +203,31 @@ class TestOneStoredColumn:
     def test_bad_columns_argument_is_rejected(self, columns):
         with pytest.raises(ValueError, match="2 identical columns of 2 cells"):
             KvMeshState(2, 2, 4, 8, columns=columns)
+
+
+class TestPlace:
+    CHECKPOINTS = {*range(40), 97, 256, 599, 600}
+
+    def test_place_equals_in_order_appends(self):
+        for h in range(1, 20):
+            capacity = -(-600 // h)
+            replayed = KvMeshState(3, h, capacity, 64)
+            for t in range(601):
+                if t in self.CHECKPOINTS:
+                    placed = KvMeshState(3, h, capacity, 64)
+                    placed.place(list(range(t)))
+                    for x in range(3):
+                        for y in range(h):
+                            assert placed.tokens_at(x, y) == replayed.tokens_at(x, y), (h, t)
+                if t < 600:
+                    kv_append_shift(CFG, replayed, t)
+
+    @pytest.mark.parametrize("width, height, capacity", [(4, 4, 3), (1, 7, 2), (5, 1, 9)])
+    def test_one_token_past_capacity_is_the_append_error(self, width, height, capacity):
+        full = KvMeshState(width, height, capacity, 64)
+        full.place(list(range(capacity * height)))
+        with pytest.raises(CapacityError) as appended:
+            kv_append_shift(CFG, full, capacity * height)
+        with pytest.raises(CapacityError) as placed:
+            KvMeshState(width, height, capacity, 64).place(list(range(capacity * height + 1)))
+        assert str(placed.value) == str(appended.value)

@@ -291,6 +291,14 @@ class TestGenerate:
             tokens, _, _ = generate_dist(CFG, model, prompt, 6, np_, nd)
             assert tokens == ref_tokens, (np_, nd)
 
+    @pytest.mark.parametrize("out_len", [0, -3])
+    def test_out_len_below_one_is_a_config_error(self, out_len):
+        model = make_toy_model(SHAPE, seed=0)
+        with pytest.raises(ConfigError, match=f"^out_len must be >= 1, got {out_len}$"):
+            generate_dist(CFG, model, [0, 1], out_len, 2, 2)
+        with pytest.raises(ConfigError, match=f"^out_len must be >= 1, got {out_len}$"):
+            autotune(CFG, model, 2, out_len, [2])
+
     def test_seed_recorded(self):
         model = make_toy_model(SHAPE, seed=42)
         prompt = [0, 1, 2, 3]
