@@ -125,12 +125,17 @@ def _int_fixture(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.integers(-4, 5, size=(rows, cols)).astype(np.float32)
 
 
-def _int_param(scenario: Scenario, key: str, default: int) -> int:
-    """Integer workload parameter ``key``; anything but an integer >= 1 is rejected."""
-    value = str(scenario.params.get(key, default)).strip()
-    if not value.isdecimal() or int(value) < 1:
-        raise ConfigError(f"parameter {key} must be an integer >= 1, got {value!r}")
+def _parse_int(name: str, value, minimum: int) -> int:
+    """An integer >= ``minimum`` from a file or the command line; anything else is rejected."""
+    value = str(value).strip()
+    if not value.isdecimal() or int(value) < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _int_param(scenario: Scenario, key: str, default: int) -> int:
+    """Integer workload parameter ``key``, at least 1."""
+    return _parse_int(f"parameter {key}", scenario.params.get(key, default), 1)
 
 
 def _check_algos(algos: list[str], known: dict) -> None:
@@ -373,7 +378,7 @@ def load_scenario(path: str) -> Scenario:
     workload = section.pop("workload", None)
     if workload is None:
         raise ConfigError(f"{path}: [scenario] missing 'workload'")
-    seed = int(section.pop("seed", "0"))
+    seed = _parse_int("seed", section.pop("seed", "0"), 0)
     grids = _parse_grid(section.pop("grids", section.pop("grid", "4")))
     algos = [a for a in section.pop("algos", "").split(",") if a.strip()]
     return Scenario(name=name, workload=workload, cfg=cfg, seed=seed,
@@ -382,7 +387,7 @@ def load_scenario(path: str) -> Scenario:
 
 def _apply_flags(scenario: Scenario, args) -> Scenario:
     if args.seed is not None:
-        scenario.seed = args.seed
+        scenario.seed = _parse_int("seed", args.seed, 0)
     if args.grid is not None:
         scenario.grids = _parse_grid(args.grid)
     if args.algo is not None:
@@ -402,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="scenario/fabric config file")
         p.add_argument("--out", default="reports", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None, help="integer >= 0")
         p.add_argument("--grid", default=None, help="e.g. 4x4 or 4,8,16")
         p.add_argument("--algo", default=None, help="comma-separated algorithm names")
         p.add_argument("--param", action="append", help="extra key=value workload parameter")

@@ -68,7 +68,9 @@ class PlmrConfig:
         return self.width * self.height
 
     def check_grid(self, op: str, w: int, h: int) -> None:
-        """Reject a w x h core grid for ``op`` that does not fit the mesh."""
+        """Reject a w x h core grid for ``op`` that is empty or does not fit the mesh."""
+        if w < 1 or h < 1:
+            raise ConfigError(f"{op}: grid side must be >= 1, got {w}x{h}")
         if w > self.width or h > self.height:
             raise ConfigError(
                 f"{op}: {w}x{h} grid larger than the {self.width}x{self.height} mesh"

@@ -123,13 +123,11 @@ def _skew(a4: np.ndarray, b4: np.ndarray) -> None:
 @functools.lru_cache(maxsize=256)
 def _ring_routing(cfg: PlmrConfig, n: int, embedding: MeshEmbedding | None,
                   interleaved: bool) -> tuple[int, int, int]:
-    """(X hops, Y hops, max paths per core) of the row and column shift rings.
+    """(X hops, Y hops, most paths demanded at one core) of the shift rings.
 
     Position i sends along its row and its column to the interleaved ring's
     ``send[i]`` (n >= 3), else to (i + 1) % n. A core's path demand is the rows
     it hosts times the X cover plus the columns it hosts times the Y cover.
-    Paths are admitted only where every core has a free slot, so the count is
-    min(demand, budget): a denied path means a full core that demanded more.
     """
     send = build_ring(n).send if interleaved and n >= 3 else [(i + 1) % n for i in range(n)]
     emb = embedding or MeshEmbedding(n, n, n)
@@ -137,7 +135,14 @@ def _ring_routing(cfg: PlmrConfig, n: int, embedding: MeshEmbedding | None,
     ys = [(emb.phys_y(i), emb.phys_y(s)) for i, s in enumerate(send)]
     demand = n // emb.phys_h * max_cover(xs) + n // emb.phys_w * max_cover(ys)
     hop_x, hop_y = (max(abs(a - b) for a, b in pairs) for pairs in (xs, ys))
-    return hop_x, hop_y, min(demand, cfg.route_budget)
+    return hop_x, hop_y, demand
+
+
+def _charge_ring_paths(cfg: PlmrConfig, report: SimReport, demand: int) -> None:
+    """A core holds min(demand, budget) paths; a demand over the budget is flagged."""
+    report.max_paths_per_core = min(demand, cfg.route_budget)
+    if demand > cfg.route_budget:
+        report.flag("R", f"{demand} paths/core demanded > budget {cfg.route_budget}")
 
 
 def _tile_bytes(t4: np.ndarray) -> int:
@@ -192,7 +197,8 @@ def _shift_loop(cfg: PlmrConfig, problem: GemmProblem, name: str, *,
     hosted = embedding.tiles_per_core if embedding else 1
     _check_gemm_budget(cfg, report, 2 * ab + 2 * bb + cb, True, hosted)
 
-    hop_x, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, embedding, interleaved)
+    hop_x, hop_y, demand = _ring_routing(cfg, n, embedding, interleaved)
+    _charge_ring_paths(cfg, report, demand)
     if interleaved and n == 2:
         report.notes.append("fallback: neighbor exchange ring (n=2)")
 
@@ -324,7 +330,8 @@ def dist_gemm_t(cfg: PlmrConfig, problem: GemmProblem) -> tuple[np.ndarray, SimR
     report = SimReport(algorithm="dist_gemm_t", meta={"n": n})
     _check_gemm_budget(cfg, report, 2 * ab + 2 * bb + cb, raise_on_violation=True)
 
-    _, hop_y, report.max_paths_per_core = _ring_routing(cfg, n, None, True)
+    _, hop_y, demand = _ring_routing(cfg, n, None, True)
+    _charge_ring_paths(cfg, report, demand)
     if n == 2:
         report.notes.append("fallback: neighbor exchange ring (n=2)")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -68,14 +67,6 @@ class KvMeshState:
     def token_order(self, column: int = 0) -> list[int]:
         return [t for cell in self.columns[column] for t in cell]
 
-    def place(self, tokens: list[int]) -> None:
-        """Fill an empty state as in-order ``kv_append_shift`` calls would:
-        the token order cut into rows of ``_target_counts`` sizes."""
-        _check_shift_capacity(self, len(tokens))
-        cells = iter(tokens)
-        self.columns[0][:] = [list(islice(cells, c))
-                              for c in _target_counts(len(tokens), self.height)]
-
 
 def kv_append_concat(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimReport:
     """Concatenate the new chunk onto the bottom-row core of each column.
@@ -102,22 +93,38 @@ def _target_counts(total: int, height: int) -> list[int]:
     return [base + (1 if y >= height - extra else 0) for y in range(height)]
 
 
-def _check_shift_capacity(state: KvMeshState, total: int) -> None:
-    capacity = state.chunk_capacity * state.height
-    if total > capacity:
-        raise CapacityError(f"mesh KV capacity exhausted: {capacity} chunks per column")
+def kv_shift_cost(cfg: PlmrConfig, width: int, chunk_bytes: int,
+                  transfers: int) -> SimReport:
+    """The ``kv_shift`` report of one append that moves ``transfers`` chunks
+    up one row in each of ``width`` columns.
+
+    All transfers are between vertically adjacent cores and run in parallel
+    across columns, pipelined within the epoch: critical path is one hop plus
+    the chunk serialization. An in-order append onto T tokens balanced over
+    ``height`` rows moves ``T % height`` chunks.
+    """
+    report = SimReport(algorithm="kv_shift")
+    if transfers:
+        report.add_step(
+            "shift",
+            StepCost.of(cfg, 1, 0, transfers * width * chunk_bytes),
+            compute_cycles=-(-chunk_bytes // 4),  # chunk serialization on the link
+            overlap=False,
+        )
+    report.meta["transfers"] = transfers
+    return report
 
 
 def kv_append_shift(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimReport:
     """Insert at the bottom row, then shift oldest chunks upward to rebalance.
 
-    All transfers are between vertically adjacent cores and run in parallel
-    across columns, pipelined within the epoch: critical path is one hop plus
-    the chunk serialization.
+    Transfers are counted, not derived from the token count, because a state
+    built with ``columns=`` need not be balanced.
     """
-    report = SimReport(algorithm="kv_shift")
     total = state.total_tokens + 1
-    _check_shift_capacity(state, total)
+    capacity = state.chunk_capacity * state.height
+    if total > capacity:
+        raise CapacityError(f"mesh KV capacity exhausted: {capacity} chunks per column")
     column = state.columns[0]
     column[-1].append(token)
 
@@ -129,17 +136,9 @@ def kv_append_shift(cfg: PlmrConfig, state: KvMeshState, token: int) -> SimRepor
         if len(column[y]) > target[y]:
             column[y - 1].append(column[y].pop(0))
             transfers += 1
-    if transfers:
-        words = -(-state.chunk_bytes // 4)
-        report.add_step(
-            "shift",
-            StepCost.of(cfg, 1, 0, transfers * state.width * state.chunk_bytes),
-            compute_cycles=words,  # chunk serialization on the link
-            overlap=False,
-        )
+    report = kv_shift_cost(cfg, state.width, state.chunk_bytes, transfers)
     report.meta["spread"] = state.spread()
     report.meta["tokens"] = total
-    report.meta["transfers"] = transfers
     return report
 
 

@@ -34,7 +34,9 @@ from .fabric import (
 )
 from .gemm import GemmProblem, dist_gemm_t, mesh_gemm
 from .gemv import GemvProblem, mesh_gemv
-from .kvcache import KvMeshState, kv_append_shift
+# Shift costs come from kv_shift_cost alone; kv_append_shift stays importable here
+# because perfbench's tracer wraps plan.kv_append_shift by name.
+from .kvcache import kv_append_shift, kv_shift_cost
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,7 @@ def plan_decode(cfg: PlmrConfig, shape: ModelShape, n: int) -> LayerPlan:
 
 
 class KvValueStore:
-    """One layer's K and V rows, append-only; placement lives in KvMeshState.
+    """One layer's K and V rows, append-only; ``count`` alone fixes the placement.
 
     Tokens are appended in id order and the shift keeps that order top to
     bottom, so the first ``count`` rows are the cache in token order.
@@ -265,12 +267,6 @@ def _kv_chunk_bytes(shape: ModelShape, n: int) -> int:
     return 2 * -(-shape.embed // n) * ELEMENT_BYTES
 
 
-def new_kv_state(shape: ModelShape, n: int, max_tokens: int) -> KvMeshState:
-    capacity = -(-max_tokens // n) + 1
-    return KvMeshState(width=n, height=n, chunk_capacity=capacity,
-                       chunk_bytes=_kv_chunk_bytes(shape, n))
-
-
 @dataclass
 class _LayerRun:
     """One layer's inputs, its named tensors so far, and its report."""
@@ -278,9 +274,7 @@ class _LayerRun:
     cfg: PlmrConfig
     plan: LayerPlan
     w: LayerWeights
-    kv_state: KvMeshState
     kv_store: KvValueStore
-    token: int  # id of the first token this layer appends
     k: int
     env: dict[str, np.ndarray]
     report: SimReport
@@ -337,17 +331,19 @@ def _concat_heads(run: _LayerRun, op: PlanOp) -> None:
 
 
 def _kv_append(run: _LayerRun, op: PlanOp) -> None:
-    store = run.kv_store
+    store, n = run.kv_store, run.plan.n
     k_rows, v_rows = (np.atleast_2d(run.env[i]) for i in op.inputs)
-    end = store.count + k_rows.shape[0]
+    start, end = store.count, store.count + k_rows.shape[0]
     if end > len(store.k):
         raise CapacityError(f"{op.name}: K/V store holds {len(store.k)} tokens, need {end}")
-    store.k[store.count:end] = k_rows
-    store.v[store.count:end] = v_rows
+    store.k[start:end] = k_rows
+    store.v[start:end] = v_rows
     store.count = end
-    for token in range(run.token, run.token + k_rows.shape[0]):
-        run.report.merge(kv_append_shift(run.cfg, run.kv_state, token), prefix=f"kv{token}.")
-    run.cache_rows = max(run.kv_state.row_counts())
+    chunk_bytes = _kv_chunk_bytes(run.plan.shape, n)
+    # The row appended onto `held` cached tokens moves held % n chunks up one row.
+    for held in range(start, end):
+        run.report.merge(kv_shift_cost(run.cfg, n, chunk_bytes, held % n), prefix=f"kv{held}.")
+    run.cache_rows = -(-end // n)
 
 
 def _dist_gemm(run: _LayerRun, op: PlanOp) -> None:
@@ -424,10 +420,9 @@ _OPS = {
 
 
 def _run_layer(phase: str, cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
-               w: LayerWeights, kv_state: KvMeshState, kv_store: KvValueStore,
-               token: int, k: int) -> tuple[np.ndarray, SimReport]:
+               w: LayerWeights, kv_store: KvValueStore, k: int) -> tuple[np.ndarray, SimReport]:
     """Run the plan's ops in order through the phase's op table."""
-    run = _LayerRun(cfg, plan, w, kv_state, kv_store, token, k, {"x": x},
+    run = _LayerRun(cfg, plan, w, kv_store, k, {"x": x},
                     SimReport(algorithm=f"{phase}_layer", meta={"n": plan.n}))
     for op in plan.ops:
         handler = _OPS[phase].get(op.kind)
@@ -438,31 +433,30 @@ def _run_layer(phase: str, cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
 
 
 def execute_prefill_layer(cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
-                          w: LayerWeights, kv_state: KvMeshState,
-                          kv_store: KvValueStore, base_token: int,
+                          w: LayerWeights, kv_store: KvValueStore,
                           k: int = 2) -> tuple[np.ndarray, SimReport]:
-    """Run one prefill layer: distributed GEMMs; caches tokens from base_token on."""
+    """Run one prefill layer: distributed GEMMs; appends every row to the cache."""
     return _run_layer("prefill", cfg, plan, np.asarray(x, dtype=np.float32), w,
-                      kv_state, kv_store, base_token, k)
+                      kv_store, k)
 
 
 def execute_decode_layer(cfg: PlmrConfig, plan: LayerPlan, x: np.ndarray,
-                         w: LayerWeights, kv_state: KvMeshState,
-                         kv_store: KvValueStore, token: int,
+                         w: LayerWeights, kv_store: KvValueStore,
                          k: int = 2) -> tuple[np.ndarray, SimReport]:
     """Run one decode step through the plan: GEMVs plus cache attention."""
     return _run_layer("decode", cfg, plan, np.asarray(x, dtype=np.float32).reshape(-1), w,
-                      kv_state, kv_store, token, k)
+                      kv_store, k)
 
 
 def transition(cfg: PlmrConfig, model: ToyModel, prefill_plan: LayerPlan,
-               decode_plan: LayerPlan, kv_states: list[KvMeshState],
-               max_tokens: int) -> tuple[list[KvMeshState], SimReport]:
-    """Re-place weights and KV cache into the decode layouts.
+               decode_plan: LayerPlan, tokens: int) -> SimReport:
+    """Charge re-placing weights and ``tokens`` cached tokens per layer into
+    the decode layouts.
 
     Identical source/target tensor plans on the same grid move nothing; every
     differing tensor is re-sharded as an all-to-all of its full byte size.
-    Numeric state is preserved exactly (re-sharding moves tiles, not values).
+    Numeric state is preserved exactly (re-sharding moves tiles, not values),
+    and the cache placement on the new grid follows from ``tokens`` alone.
     """
     report = SimReport(algorithm="transition")
     moved = 0
@@ -471,14 +465,9 @@ def transition(cfg: PlmrConfig, model: ToyModel, prefill_plan: LayerPlan,
         if not same_grid or prefill_plan.tensors[name] != decode_plan.tensors[name]:
             moved += arr.nbytes * len(model.layers)
 
-    new_states = kv_states
     if not same_grid:
-        new_states = []
-        for state in kv_states:
-            rebuilt = new_kv_state(model.shape, decode_plan.n, max_tokens)
-            rebuilt.place(state.token_order())
-            new_states.append(rebuilt)
-            moved += state.total_tokens * state.width * state.chunk_bytes
+        n = prefill_plan.n
+        moved += len(model.layers) * tokens * n * _kv_chunk_bytes(model.shape, n)
 
     if moved:
         diameter = 2 * (max(prefill_plan.n, decode_plan.n) - 1)
@@ -486,7 +475,7 @@ def transition(cfg: PlmrConfig, model: ToyModel, prefill_plan: LayerPlan,
         report.add_step("replace", StepCost.of(cfg, max(diameter, 1), 1, moved),
                         compute_cycles=words_per_core, overlap=False)
     report.meta["bytes_moved"] = moved
-    return new_states, report
+    return report
 
 
 @dataclass
@@ -527,7 +516,6 @@ def generate_dist(cfg: PlmrConfig, model: ToyModel, prompt: list[int], out_len: 
     max_tokens = len(prompt) + out_len + 1
 
     prefill_report = SimReport(algorithm="prefill", meta={"seed": model.seed})
-    kv_states = [new_kv_state(shape, prefill_n, max_tokens) for _ in model.layers]
     kv_stores = [KvValueStore(max_tokens, shape.embed) for _ in model.layers]
 
     x = model.embed[np.asarray(prompt, dtype=int)].astype(np.float32)
@@ -535,15 +523,13 @@ def generate_dist(cfg: PlmrConfig, model: ToyModel, prompt: list[int], out_len: 
     prefill_report.add_step("embed_lookup",
                             StepCost.of(cfg, diameter, 1, x.nbytes), overlap=False)
     for li, w in enumerate(model.layers):
-        x, rep = execute_prefill_layer(cfg, pplan, x, w, kv_states[li], kv_stores[li],
-                                       base_token=0, k=k)
+        x, rep = execute_prefill_layer(cfg, pplan, x, w, kv_stores[li], k=k)
         prefill_report.merge(rep, prefix=f"layer{li}.")
     hidden, first = _final_head(cfg, prefill_report, model, x[-1], prefill_n, k)
     tokens = [first]
     hiddens = [hidden]
 
-    kv_states, transition_report = transition(cfg, model, pplan, dplan, kv_states,
-                                              max_tokens)
+    transition_report = transition(cfg, model, pplan, dplan, len(prompt))
 
     decode_reports: list[SimReport] = []
     while len(tokens) < out_len:
@@ -551,10 +537,8 @@ def generate_dist(cfg: PlmrConfig, model: ToyModel, prompt: list[int], out_len: 
         xv = model.embed[tokens[-1]].astype(np.float32)
         step_report.add_step("embed_lookup",
                              StepCost.of(cfg, diameter, 1, xv.nbytes), overlap=False)
-        token_id = len(prompt) + len(tokens) - 1
         for li, w in enumerate(model.layers):
-            xv, rep = execute_decode_layer(cfg, dplan, xv, w, kv_states[li],
-                                           kv_stores[li], token=token_id, k=k)
+            xv, rep = execute_decode_layer(cfg, dplan, xv, w, kv_stores[li], k=k)
             step_report.merge(rep, prefix=f"layer{li}.")
         hidden, nxt = _final_head(cfg, step_report, model, xv, decode_n, k)
         tokens.append(nxt)

@@ -133,6 +133,13 @@ class TestScenarioFile:
         with pytest.raises(ConfigError, match="workload"):
             load_scenario(str(config))
 
+    def test_seed_zero_is_accepted_from_file_and_flag(self, tmp_path):
+        config = tmp_path / "zero.cfg"
+        config.write_text("[scenario]\nworkload = gemm\nseed = 0\n")
+        assert load_scenario(str(config)).seed == 0
+        assert main(["gemm", "--config", str(config), "--seed", "0",
+                     "--param", "size=8", "--out", str(tmp_path)]) == 0
+
     def test_malformed_value(self, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("[fabric]\nwidth = notanumber\n[scenario]\nworkload = gemm\n")
@@ -195,8 +202,13 @@ class TestMainErrors:
         (["autotune", "--param", "seq=0"], "seq must be an integer >= 1, got '0'"),
         (["layer", "--param", "out=0"], "out must be an integer >= 1, got '0'"),
         (["gemm", "--grid", "\u00b2"], "positive integer"),
+        (["gemm", "--config", "bad_seed.cfg"], "seed must be an integer >= 0, got 'x'"),
+        (["gemm", "--seed", "-1"], "seed must be an integer >= 0, got '-1'"),
     ])
-    def test_bad_input_is_one_line_without_traceback(self, tmp_path, capsys, argv, cause):
+    def test_bad_input_is_one_line_without_traceback(self, tmp_path, monkeypatch, capsys,
+                                                     argv, cause):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad_seed.cfg").write_text("[scenario]\nworkload = gemm\nseed = x\n")
         rc = main(argv + ["--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc != 0

@@ -206,6 +206,16 @@ class TestRouting:
         _, report16 = summa_gemm(CFG, GemmProblem(a16, b16, 16))
         assert not report16.has_violation("R")
 
+    @pytest.mark.parametrize("algo", [mesh_gemm, cannon_gemm, dist_gemm_t])
+    def test_shift_algorithms_flag_demand_over_budget(self, algo):
+        ones = np.ones((8, 8), np.float32)
+        _, tight = algo(PlmrConfig(width=8, height=8, route_budget=4), GemmProblem(ones, ones, 8))
+        assert tight.max_paths_per_core == 4
+        assert tight.violations == ["R: 6 paths/core demanded > budget 4"]
+        _, roomy = algo(PlmrConfig(width=8, height=8), GemmProblem(ones, ones, 8))
+        assert roomy.max_paths_per_core == 6
+        assert not roomy.violations
+
 
 class TestAlignmentNegativeControl:
     def test_skipping_alignment_breaks_result(self):

@@ -93,6 +93,18 @@ class TestShift:
             for step in report.steps:
                 assert step.comm.hops_critical == 1
 
+    @pytest.mark.parametrize("height", [1, 2, 3, 5, 8, 13, 32])
+    def test_append_onto_t_tokens_moves_t_mod_height_chunks(self, height):
+        # The closed form the layer plan charges: no placement is replayed there.
+        for width in sorted({1, 3, height}):
+            state = KvMeshState(width, height, -(-600 // height), 64)
+            for t in range(600):
+                report = kv_append_shift(CFG, state, t)
+                moved = t % height
+                assert report.meta["transfers"] == moved, (width, t)
+                assert bool(report.steps_labeled("shift")) == (moved > 0), (width, t)
+                assert max(state.row_counts()) == -(-(t + 1) // height), (width, t)
+
     def test_shift_cost_includes_serialization(self):
         state = KvMeshState(4, 4, 30, chunk_bytes=256)
         kv_append_shift(CFG, state, 0)
@@ -204,30 +216,3 @@ class TestOneStoredColumn:
         with pytest.raises(ValueError, match="2 identical columns of 2 cells"):
             KvMeshState(2, 2, 4, 8, columns=columns)
 
-
-class TestPlace:
-    CHECKPOINTS = {*range(40), 97, 256, 599, 600}
-
-    def test_place_equals_in_order_appends(self):
-        for h in range(1, 20):
-            capacity = -(-600 // h)
-            replayed = KvMeshState(3, h, capacity, 64)
-            for t in range(601):
-                if t in self.CHECKPOINTS:
-                    placed = KvMeshState(3, h, capacity, 64)
-                    placed.place(list(range(t)))
-                    for x in range(3):
-                        for y in range(h):
-                            assert placed.tokens_at(x, y) == replayed.tokens_at(x, y), (h, t)
-                if t < 600:
-                    kv_append_shift(CFG, replayed, t)
-
-    @pytest.mark.parametrize("width, height, capacity", [(4, 4, 3), (1, 7, 2), (5, 1, 9)])
-    def test_one_token_past_capacity_is_the_append_error(self, width, height, capacity):
-        full = KvMeshState(width, height, capacity, 64)
-        full.place(list(range(capacity * height)))
-        with pytest.raises(CapacityError) as appended:
-            kv_append_shift(CFG, full, capacity * height)
-        with pytest.raises(CapacityError) as placed:
-            KvMeshState(width, height, capacity, 64).place(list(range(capacity * height + 1)))
-        assert str(placed.value) == str(appended.value)

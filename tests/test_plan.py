@@ -15,7 +15,6 @@ from wafermesh.plan import (
     execute_prefill_layer,
     generate_dist,
     make_toy_model,
-    new_kv_state,
     plan_decode,
     plan_prefill,
     select_best,
@@ -147,6 +146,23 @@ class TestPlans:
         with pytest.raises(ConfigError, match=rf"^{planner.__name__}: 16x16 grid larger than the 8x8"):
             planner(PlmrConfig(width=8, height=8), SHAPE, 16)
 
+    @pytest.mark.parametrize("side", [0, -2])
+    @pytest.mark.parametrize("planner", [plan_prefill, plan_decode])
+    def test_grid_side_below_one_is_a_config_error(self, planner, side):
+        with pytest.raises(ConfigError,
+                           match=rf"^{planner.__name__}: grid side must be >= 1, got {side}x{side}$"):
+            planner(CFG, SHAPE, side)
+
+    def test_generate_and_autotune_reject_grid_side_zero(self):
+        model = make_toy_model(SHAPE, seed=0)
+        prompt = [1, 2, 3, 4]
+        with pytest.raises(ConfigError, match="^plan_prefill: grid side must be >= 1, got 0x0"):
+            generate_dist(CFG, model, prompt, 2, prefill_n=0, decode_n=2)
+        with pytest.raises(ConfigError, match="^plan_decode: grid side must be >= 1, got 0x0"):
+            generate_dist(CFG, model, prompt, 2, prefill_n=2, decode_n=0)
+        with pytest.raises(ConfigError, match="^plan_prefill: grid side must be >= 1, got 0x0"):
+            autotune(CFG, model, 4, 2, [0, 2])
+
     def test_grid_1x1_degenerates_to_dense(self):
         roomy = PlmrConfig(width=4, height=4, mem_per_core=1 << 20)
         plan = plan_prefill(roomy, SHAPE, 1)
@@ -163,14 +179,13 @@ class TestExecutePrefill:
         model = make_toy_model(shape, seed=3, n_layers=1)
         plan = plan_prefill(CFG, shape, 3)
         x = model.embed[np.arange(8) % model.vocab].astype(np.float32)
-        state = new_kv_state(shape, 3, 16)
         store = KvValueStore(16, 32)
-        y, report = execute_prefill_layer(CFG, plan, x, model.layers[0], state, store, 0)
+        y, report = execute_prefill_layer(CFG, plan, x, model.layers[0], store)
         expected, k_ref, v_ref = reference.prefill_layer(x.astype(np.float64),
                                                          model.layers[0], shape.heads)
         assert rel_err(y, expected) <= 1e-4
         assert report.total_cycles > 0
-        assert state.total_tokens == 8
+        assert store.count == 8
         for t in range(8):
             assert rel_err(store.k[t], k_ref[t]) <= 1e-4
 
@@ -184,8 +199,7 @@ class TestExecutePrefill:
         )
         plan = plan_prefill(CFG, shape, 2)
         x = np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32)
-        y, _ = execute_prefill_layer(CFG, plan, x, zeros, new_kv_state(shape, 2, 8),
-                                     KvValueStore(8, 8), 0)
+        y, _ = execute_prefill_layer(CFG, plan, x, zeros, KvValueStore(8, 8))
         assert np.array_equal(y, x)  # residuals only; attention output is zero
 
     def test_kv_store_overflow_is_a_capacity_error(self):
@@ -194,7 +208,7 @@ class TestExecutePrefill:
         plan = plan_prefill(CFG, shape, 2)
         with pytest.raises(CapacityError, match="cache_kv: K/V store holds 3 tokens, need 4"):
             execute_prefill_layer(CFG, plan, model.embed[:4], model.layers[0],
-                                  new_kv_state(shape, 2, 8), KvValueStore(3, 8), 0)
+                                  KvValueStore(3, 8))
 
 
 @pytest.mark.parametrize("phase, execute, planner", [
@@ -208,7 +222,7 @@ def test_unknown_op_kind_is_rejected_naming_the_phase(phase, execute, planner):
     plan.ops.insert(1, PlanOp("transpose", "flip", ("xn",), "xt"))
     x = model.embed[:4] if phase == "prefill" else model.embed[0]
     with pytest.raises(ValueError, match=f"^{phase} plan contains unexpected op kind 'transpose'"):
-        execute(CFG, plan, x, model.layers[0], new_kv_state(shape, 2, 8), KvValueStore(8, 8), 0)
+        execute(CFG, plan, x, model.layers[0], KvValueStore(8, 8))
 
 
 class TestExecuteDecode:
@@ -217,18 +231,16 @@ class TestExecuteDecode:
         model = make_toy_model(shape, seed=4, n_layers=1)
         w = model.layers[0]
         plan = plan_decode(CFG, shape, 4)
-        state = new_kv_state(shape, 4, 16)
         store = KvValueStore(16, 32)
         k_ref: list[np.ndarray] = []
         v_ref: list[np.ndarray] = []
         rng = np.random.default_rng(9)
         for t in range(8):
             x = rng.standard_normal(32).astype(np.float32)
-            y, _ = execute_decode_layer(CFG, plan, x, w, state, store, token=t)
+            y, _ = execute_decode_layer(CFG, plan, x, w, store)
             expected = reference.decode_layer(x.astype(np.float64), w, shape.heads,
                                               k_ref, v_ref)
             assert rel_err(y, expected) <= 1e-4, t
-            assert state.spread() <= 1
 
 
 class TestTransition:
@@ -236,8 +248,7 @@ class TestTransition:
         model = make_toy_model(SHAPE, seed=0)
         plan_a = plan_decode(CFG, SHAPE, 4)
         plan_b = plan_decode(CFG, SHAPE, 4)
-        states = [new_kv_state(SHAPE, 4, 8) for _ in model.layers]
-        _, report = transition(CFG, model, plan_a, plan_b, states, 8)
+        report = transition(CFG, model, plan_a, plan_b, 8)
         assert report.total_cycles == 0
         assert report.meta["bytes_moved"] == 0
 
@@ -245,26 +256,19 @@ class TestTransition:
         model = make_toy_model(SHAPE, seed=0)
         pre = plan_prefill(CFG, SHAPE, 4)
         dec = plan_decode(CFG, SHAPE, 4)
-        states = [new_kv_state(SHAPE, 4, 8) for _ in model.layers]
-        _, report = transition(CFG, model, pre, dec, states, 8)
+        report = transition(CFG, model, pre, dec, 8)
         weight_bytes = sum(arr.nbytes for _, arr in model.layers[0].named()) * len(model.layers)
         assert report.meta["bytes_moved"] == weight_bytes
 
-    def test_grid_change_replaces_kv_and_preserves_order(self):
+    def test_grid_change_moves_weights_and_every_cached_chunk(self):
         model = make_toy_model(SHAPE, seed=0)
         pre = plan_prefill(CFG, SHAPE, 4)
         dec = plan_decode(CFG, SHAPE, 2)
-        states = [new_kv_state(SHAPE, 4, 12) for _ in model.layers]
-        for t in range(6):
-            from wafermesh.kvcache import kv_append_shift
-            for st in states:
-                kv_append_shift(CFG, st, t)
-        new_states, report = transition(CFG, model, pre, dec, states, 12)
-        for st in new_states:
-            assert st.width == 2 and st.height == 2
-            assert st.token_order() == list(range(6))
-            assert st.spread() <= 1
-        assert report.meta["bytes_moved"] > 0
+        report = transition(CFG, model, pre, dec, 6)
+        weight_bytes = sum(arr.nbytes for _, arr in model.layers[0].named()) * len(model.layers)
+        # One K+V chunk of 2 * 32/4 floats per token in each of the 4 prefill columns.
+        kv_bytes = len(model.layers) * 6 * 4 * (2 * 8 * 4)
+        assert report.meta["bytes_moved"] == weight_bytes + kv_bytes
 
     def test_cheaper_than_one_decode_step(self):
         model = make_toy_model(SHAPE, seed=0)
